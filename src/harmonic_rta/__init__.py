@@ -55,6 +55,7 @@ from .feasibility import (
     GammaCase,
     IndexOutOfRange,
     InfeasibleInput,
+    SolverCheckFailed,
     brute_force_feasibility,
     classify_gamma,
     solve_feasibility,

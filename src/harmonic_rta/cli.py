@@ -31,7 +31,15 @@ from .harmonic import (
     wcrt_harmonic,
     wcrt_uniform_jitter,
 )
-from .model import TaskModelError, TaskSet, load_tasks, pi_order, tasks_to_dict
+from .model import (
+    TaskModelError,
+    TaskSet,
+    load_tasks,
+    pi_order,
+    read_task_document,
+    tasks_from_dict,
+    tasks_to_dict,
+)
 from .rta import wcrt_fixed_point, wcrt_fixed_point_jitter
 from .simulator import SimConfig, simulate
 
@@ -215,14 +223,17 @@ def cmd_analyze(input_path: str, method: str, target: str = "all", *,
     if method not in METHODS:
         raise CliError(f"unknown method {method!r}; choose from "
                        f"{', '.join(METHODS)}")
-    ts = load_tasks(input_path)
+    doc = read_task_document(input_path)
+    ts = tasks_from_dict(doc, where=input_path)
     targets = _parse_target(ts, target)
     report = AnalysisReport()
     report.metadata["input"] = input_path
     report.metadata["method"] = method
     report.metadata["target"] = target
-    seed = _file_seed(input_path)
-    if seed is not None:
+    # Files written by the generate subcommand carry their seed at the top
+    # level; anything else yields no seed metadata.
+    seed = doc.get("seed")
+    if isinstance(seed, int):
         report.metadata["seed"] = seed
     if not deterministic:
         report.metadata["timestamp"] = _timestamp()
@@ -234,18 +245,6 @@ def cmd_analyze(input_path: str, method: str, target: str = "all", *,
         for row, i in zip(report.rows, targets):
             _cross_validate(ts, i, method, row.wcrt)
     return report
-
-
-def _file_seed(input_path: str) -> int | None:
-    # Files written by the generate subcommand carry their seed at the top
-    # level; anything else silently yields no seed metadata.
-    try:
-        with open(input_path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError):
-        return None
-    seed = doc.get("seed") if isinstance(doc, dict) else None
-    return seed if isinstance(seed, int) else None
 
 
 def _parse_target(ts: TaskSet, target: str) -> list[int]:

@@ -8,12 +8,13 @@ for every ``jobs`` value and every chunk execution order.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .feasibility import solve_feasibility, solve_feasibility_arrays
 from .generator import (
+    _TWO53,
     GenConfig,
     Rng,
     gen_constrained_jitters,
@@ -29,7 +30,7 @@ from .harmonic import (
     wcrt_jitter_bounds,
     wcrt_uniform_jitter,
 )
-from .model import TaskSet, pi_order
+from .model import TaskSet, pi_order, scaled
 from .rta import wcrt_fixed_point, wcrt_fixed_point_jitter
 from .simulator import SimConfig, simulate
 from .feasibility import wcrt_virtual_jitter
@@ -90,23 +91,37 @@ def _chunk_counts(total: int) -> list[int]:
 
 
 def _map_chunks(worker, args_list, jobs: int) -> list:
-    if jobs <= 1:
+    # More workers than chunks or CPUs would only add start-up cost.
+    workers = min(jobs, len(args_list), os.cpu_count() or 1)
+    if workers <= 1:
         return [worker(*args) for args in args_list]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(lambda args: worker(*args), args_list))
+    # Worker processes, not threads: the chunks are pure-Python computation,
+    # which threads cannot overlap.  "spawn" keeps the workers independent
+    # of whatever threads the calling process runs.  Imported here because
+    # the process machinery costs every serial caller import time and memory.
+    from concurrent.futures import ProcessPoolExecutor
+    from multiprocessing import get_context
+
+    with ProcessPoolExecutor(max_workers=workers,
+                             mp_context=get_context("spawn")) as pool:
+        return list(pool.map(worker, *zip(*args_list)))
 
 
 def _count_misclassified(seed: int, count: int, hp_count: int, utilization: Fraction) -> int:
     """Feasible-by-construction sets the staged solver rejects anyway."""
     rng = Rng(seed)
     config = GenConfig(task_count=hp_count, total_utilization=utilization)
+    # Every wcet's denominator divides this; times scaled by it are ints.
+    scale = config.total_utilization.denominator * _TWO53
     misclassified = 0
     for _ in range(count):
         periods = gen_harmonic_periods(hp_count, config, rng)[::-1]
         utils = uunifast(hp_count, utilization, rng)[::-1]
         wcets = [t * u for t, u in zip(periods, utils)]
         jitters = gen_constrained_jitters(periods, wcets, rng)
-        result = solve_feasibility_arrays(tuple(periods), tuple(wcets), tuple(jitters))
+        result = solve_feasibility_arrays(scaled(periods, scale),
+                                          scaled(wcets, scale),
+                                          scaled(jitters, scale))
         if not result.is_feasible:
             misclassified += 1
     return misclassified
@@ -151,13 +166,19 @@ def _count_feasible(
 ) -> int:
     rng = Rng(seed)
     config = GenConfig(task_count=task_count, total_utilization=utilization)
+    # Every wcet's and raw jitter's denominator divides this; times scaled
+    # by it are ints.
+    scale = (config.total_utilization.denominator
+             * Fraction(alpha).denominator * _TWO53)
     feasible = 0
     for _ in range(count):
         periods = gen_harmonic_periods(task_count, config, rng)[::-1]
         utils = uunifast(task_count, utilization, rng)[::-1]
-        wcets = [t * u for t, u in zip(periods, utils)]
         jitters = gen_unconstrained_jitters_raw(periods, alpha, rng)
-        if solve_feasibility_arrays(tuple(periods), tuple(wcets), tuple(jitters)).is_feasible:
+        wcets = [t * u for t, u in zip(periods, scaled(utils, scale))]
+        result = solve_feasibility_arrays(scaled(periods, scale), wcets,
+                                          scaled(jitters, scale))
+        if result.is_feasible:
             feasible += 1
     return feasible
 

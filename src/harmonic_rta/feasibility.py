@@ -17,13 +17,11 @@ enumeration, and wcrt_virtual_jitter turns a feasible solution into the WCRT.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .model import NonHarmonic, TaskSet
-from .rta import RtaResult
 from .harmonic import _staged_fixed_point
+from .model import OrderedView, TaskSet, ordered_view
+from .rta import RtaResult
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -31,6 +29,10 @@ INFEASIBLE = "infeasible"
 
 class CapTooSmall(ValueError):
     """The brute-force search box provably excludes the solver's witness."""
+
+
+class SolverCheckFailed(ValueError):
+    """A solved shift vector failed the check against the full system."""
 
 
 class InfeasibleInput(ValueError):
@@ -83,37 +85,18 @@ class GammaCase:
     jtilde: int
 
 
-def feasibility_order(ts: TaskSet, target_index: int | None):
-    """Indices of the interfering tasks, non-increasing period, priority ties.
+def _feasibility_view(ts: TaskSet, target_index: int | None,
+                      extra=()) -> OrderedView:
+    """The interfering tasks in the solver's order (priority breaks ties).
 
     target_index None treats the whole set as the higher-priority set of a
     virtual lowest-priority task.
     """
-    hp = range(len(ts)) if target_index is None else range(target_index)
-    if target_index is not None and not 0 <= target_index < len(ts):
-        raise IndexError(f"target index {target_index} out of range")
-    return tuple(sorted(hp, key=lambda i: (-ts[i].period, i)))
-
-
-def _order_arrays(ts: TaskSet, target_index: int | None):
-    order = feasibility_order(ts, target_index)
-    if not order:
+    view = ordered_view(ts, target_index, jitter_ties=False, extra=extra)
+    if not view.order:
         raise ValueError("need at least one higher-priority task")
-    periods = tuple(ts[i].period for i in order)
-    wcets = tuple(ts[i].wcet for i in order)
-    jitters = tuple(ts[i].jitter for i in order)
-    for a, b in zip(periods, periods[1:]):
-        if a % b != 0:
-            raise NonHarmonic(f"periods {a} and {b} do not divide")
-    return order, periods, wcets, jitters
-
-
-def _suffix_wcets(wcets):
-    k = len(wcets)
-    suffix = [0] * k
-    for s in range(k - 2, -1, -1):
-        suffix[s] = suffix[s + 1] + wcets[s + 1]
-    return suffix
+    view.require_harmonic()
+    return view
 
 
 def satisfies_constraints(periods, wcets, jitters, m) -> bool:
@@ -126,16 +109,15 @@ def satisfies_constraints(periods, wcets, jitters, m) -> bool:
     k = len(periods)
     if len(m) != k:
         return False
-    suffix = _suffix_wcets(wcets)
     j_last = jitters[-1] + m[-1] * periods[-1]
-    for i in range(k):
+    later = 0
+    for i in range(k - 1, -1, -1):
         if not (isinstance(m[i], int) and m[i] >= 0):
             return False
         shifted = jitters[i] + m[i] * periods[i]
-        if shifted > j_last:
+        if shifted > j_last or shifted < j_last - later:
             return False
-        if shifted < j_last - suffix[i]:
-            return False
+        later += wcets[i]
     return True
 
 
@@ -147,33 +129,49 @@ def solve_feasibility(ts: TaskSet, target_index: int | None = None
     None) are processed largest period first.  Returns a feasible result with
     m (m_1 normalized to 1), J'_max and the bound-window trace, or an
     infeasible verdict naming the stage whose window crossed.  A feasible m is
-    verified against the full constraint system before being returned.
+    verified against the full constraint system before being returned; a
+    failed check raises SolverCheckFailed.
     """
-    _, periods, wcets, jitters = _order_arrays(ts, target_index)
-    return solve_feasibility_arrays(periods, wcets, jitters)
+    view = _feasibility_view(ts, target_index)
+    return _solve(view, ts[view.order[-1]].jitter)
 
 
 def solve_feasibility_arrays(periods, wcets, jitters) -> FeasibilityResult:
-    """solve_feasibility on pre-ordered arrays (non-increasing periods)."""
+    """solve_feasibility on pre-ordered arrays (non-increasing periods).
+
+    Raises NonHarmonic unless each period divides the one before it.
+    Rational wcets and jitters are exact but slower than ints; a caller
+    holding many sets with a known common denominator can scale them to
+    ints first, which leaves the verdict and m unchanged.
+    """
+    view = OrderedView(None, periods, wcets, jitters)
+    view.require_harmonic()
+    return _solve(view, jitters[-1])
+
+
+def _solve(view: OrderedView, last_jitter) -> FeasibilityResult:
+    """The window propagation in view units.  Windows, widths and J'_max
+    are returned in task time units; `last_jitter` is the last task's
+    jitter as the caller gave it."""
+    periods, jitters, suffix = view.periods, view.jitters, view.suffix_wcet
+    scale = view.scale
     k = len(periods)
     t_last = periods[-1]
     j_last = jitters[-1]
-    suffix = _suffix_wcets(wcets)
 
     if k == 1:
-        result = FeasibilityResult(
-            FEASIBLE, (1,), jitters[0] + periods[0], None,
-            ((periods[0], periods[0]),))
-        assert satisfies_constraints(periods, wcets, jitters, result.m)
+        first = periods[0] // scale
+        result = FeasibilityResult(FEASIBLE, (1,), last_jitter + first, None,
+                                   ((first, first),))
+        _verify(view, result.m)
         return result
 
-    # Window [lb, ub] brackets m_last*T_last in time units; the anchor stage
+    # Window [lb, ub] brackets m_last*T_last in view units; the anchor stage
     # intersects the m_1 = 1 shift of the largest-period task with the last
     # task's congruence class.
-    lb = periods[0] + t_last * math.ceil(Fraction(jitters[0] - j_last, t_last))
-    ub = periods[0] + t_last * math.floor(
-        Fraction(jitters[0] - j_last + suffix[0], t_last))
-    trace = [(lb, ub)]
+    lb = periods[0] - t_last * ((j_last - jitters[0]) // t_last)
+    ub = periods[0] + t_last * ((jitters[0] - j_last + suffix[0]) // t_last)
+    trace = [(lb // scale, ub // scale)]
     branches: list[Branch] = []
     chosen_m = [1]
     if lb > ub:
@@ -183,48 +181,57 @@ def solve_feasibility_arrays(periods, wcets, jitters) -> FeasibilityResult:
         stage = s + 1
         period = periods[s]
         jit = jitters[s]
-        m_lo = math.ceil(Fraction(lb + j_last - jit - suffix[s], period))
-        m_hi = math.floor(Fraction(ub + j_last - jit, period))
+        m_lo = -((jit + suffix[s] - lb - j_last) // period)
+        m_hi = (ub + j_last - jit) // period
         if m_lo > m_hi:
             return FeasibilityResult(INFEASIBLE, None, None, stage,
                                      tuple(trace), tuple(branches))
-        q_lo = t_last * math.ceil(Fraction(jit - j_last, t_last))
-        q_hi = t_last * math.floor(Fraction(jit - j_last + suffix[s], t_last))
-
-        def window(m_val):
-            return (max(m_val * period + q_lo, lb),
-                    min(m_val * period + q_hi, ub))
+        q_lo = -t_last * ((j_last - jit) // t_last)
+        q_hi = t_last * ((jit - j_last + suffix[s]) // t_last)
 
         if m_lo == m_hi:
             m_val = m_lo
-            lb, ub = window(m_val)
+            lb = max(m_val * period + q_lo, lb)
+            ub = min(m_val * period + q_hi, ub)
         else:
             # Two admissible shift counts; keep the one leaving the wider
             # window (ties to the upper), a greedy heuristic.
-            lo_lb, lo_ub = window(m_lo)
-            hi_lb, hi_ub = window(m_hi)
+            lo_lb = max(m_lo * period + q_lo, lb)
+            lo_ub = min(m_lo * period + q_hi, ub)
+            hi_lb = max(m_hi * period + q_lo, lb)
+            hi_ub = min(m_hi * period + q_hi, ub)
             diff_lower = lo_ub - lo_lb
             diff_upper = hi_ub - hi_lb
             if diff_lower > diff_upper:
-                m_val, (lb, ub) = m_lo, (lo_lb, lo_ub)
+                m_val, lb, ub = m_lo, lo_lb, lo_ub
                 pick = "lower"
             else:
-                m_val, (lb, ub) = m_hi, (hi_lb, hi_ub)
+                m_val, lb, ub = m_hi, hi_lb, hi_ub
                 pick = "upper"
-            branches.append(Branch(stage, m_lo, m_hi, diff_lower,
-                                   diff_upper, pick))
-        trace.append((lb, ub))
+            branches.append(Branch(stage, m_lo, m_hi, diff_lower // scale,
+                                   diff_upper // scale, pick))
+        trace.append((lb // scale, ub // scale))
         if lb > ub:
             return FeasibilityResult(INFEASIBLE, None, None, stage,
                                      tuple(trace), tuple(branches))
         chosen_m.append(m_val)
 
-    assert lb % t_last == 0, "window bounds stay multiples of the last period"
+    if lb % t_last:
+        raise SolverCheckFailed(
+            f"window bound {lb // scale} is not a multiple of the last "
+            f"period {t_last // scale}")
     chosen_m.append(lb // t_last)
-    result = FeasibilityResult(FEASIBLE, tuple(chosen_m), j_last + lb, None,
+    result = FeasibilityResult(FEASIBLE, tuple(chosen_m),
+                               last_jitter + lb // scale, None,
                                tuple(trace), tuple(branches))
-    assert satisfies_constraints(periods, wcets, jitters, result.m)
+    _verify(view, result.m)
     return result
+
+
+def _verify(view: OrderedView, m) -> None:
+    if not satisfies_constraints(view.periods, view.wcets, view.jitters, m):
+        raise SolverCheckFailed(
+            f"shift counts {m} violate the shift system they were solved for")
 
 
 def brute_force_last_values(periods, wcets, jitters, last_cap: int):
@@ -234,17 +241,17 @@ def brute_force_last_values(periods, wcets, jitters, last_cap: int):
     per-task intervals are checked independently (m_1 must admit 1).
     Returns (values, witnesses) in ascending order.
     """
+    view = OrderedView(None, periods, wcets, jitters)
+    periods, jitters, suffix = view.periods, view.jitters, view.suffix_wcet
     k = len(periods)
-    suffix = _suffix_wcets(wcets)
     values, witnesses = [], []
     for y in range(last_cap + 1):
         j_max = jitters[-1] + y * periods[-1]
         witness = []
         ok = True
         for i in range(k - 1):
-            hi = math.floor(Fraction(j_max - jitters[i], periods[i]))
-            lo = math.ceil(Fraction(j_max - suffix[i] - jitters[i], periods[i]))
-            lo = max(lo, 0)
+            hi = (j_max - jitters[i]) // periods[i]
+            lo = max(-((suffix[i] + jitters[i] - j_max) // periods[i]), 0)
             if i == 0:
                 if not lo <= 1 <= hi:
                     ok = False
@@ -274,12 +281,14 @@ def brute_force_feasibility(ts: TaskSet, target_index: int | None = None,
     the searched box raises CapTooSmall instead of returning a false
     infeasible.
     """
-    _, periods, wcets, jitters = _order_arrays(ts, target_index)
+    view = _feasibility_view(ts, target_index)
+    periods, jitters, scale = view.periods, view.jitters, view.scale
     if len(periods) == 1:
-        return FeasibilityResult(FEASIBLE, (1,), jitters[0] + periods[0],
-                                 None, ((periods[0], periods[0]),))
+        first = periods[0] // scale
+        return FeasibilityResult(FEASIBLE, (1,), jitters[0] // scale + first,
+                                 None, ((first, first),))
     last_cap = m_cap * (periods[0] // periods[-1])
-    values, witnesses = brute_force_last_values(periods, wcets, jitters,
+    values, witnesses = brute_force_last_values(periods, view.wcets, jitters,
                                                 last_cap)
     if not values:
         if (solver_result is not None and solver_result.is_feasible
@@ -290,9 +299,10 @@ def brute_force_feasibility(ts: TaskSet, target_index: int | None = None,
         return FeasibilityResult(INFEASIBLE, None, None, None, ())
     y = values[0]
     witness = witnesses[0]
+    window = y * periods[-1] // scale
     return FeasibilityResult(FEASIBLE, witness,
-                             jitters[-1] + y * periods[-1], None,
-                             ((y * periods[-1], y * periods[-1]),))
+                             jitters[-1] // scale + window, None,
+                             ((window, window),))
 
 
 def classify_gamma(ts: TaskSet, target_index: int | None, i: int) -> GammaCase:
@@ -303,23 +313,24 @@ def classify_gamma(ts: TaskSet, target_index: int | None, i: int) -> GammaCase:
     admits locally: "Zero" extra, exactly "One", "Both" candidates, or an
     "Empty" local window.
     """
-    _, periods, wcets, jitters = _order_arrays(ts, target_index)
+    view = _feasibility_view(ts, target_index)
+    periods, jitters, suffix = view.periods, view.jitters, view.suffix_wcet
+    unit = view.scale                      # one time unit in view units
     k = len(periods)
     if not 1 <= i <= k - 1:
         raise IndexOutOfRange(f"stage {i} outside 1..{k - 1}")
-    suffix = _suffix_wcets(wcets)
     jtilde = (jitters[i] - jitters[i - 1]) % periods[i]
     after = suffix[i]                      # wcets strictly after pi(i+1)
     gap = periods[i] - suffix[i - 1]       # period minus wcets after pi(i)
-    if jtilde <= after and jtilde <= gap - 1:
+    if jtilde <= after and jtilde <= gap - unit:
         case = "Zero"
-    elif jtilde >= after + 1 and jtilde >= gap:
+    elif jtilde >= after + unit and jtilde >= gap:
         case = "One"
     elif gap <= jtilde <= after:
         case = "Both"
     else:
         case = "Empty"
-    return GammaCase(case, jtilde)
+    return GammaCase(case, jtilde // unit)
 
 
 def wcrt_virtual_jitter(ts: TaskSet, target_index: int,
@@ -333,19 +344,16 @@ def wcrt_virtual_jitter(ts: TaskSet, target_index: int,
     """
     if not fr.is_feasible:
         raise InfeasibleInput("need a feasible shift solution")
-    order, periods, wcets, jitters = _order_arrays(ts, target_index)
-    if fr.m is None or len(fr.m) != len(order):
+    view = _feasibility_view(ts, target_index,
+                             extra=(fr.virtual_jitter_max,))
+    if fr.m is None or len(fr.m) != len(view.order):
         raise InfeasibleInput(
             f"solution covers {0 if fr.m is None else len(fr.m)} tasks, "
-            f"target has {len(order)}")
+            f"target has {len(view.order)}")
     target = ts[target_index]
-    const = target.wcet - sum(mi * c for mi, c in zip(fr.m, wcets))
-    utils = tuple(ts[i].utilization for i in order)
-    suffix_utils = [Fraction(0)] * len(order)
-    for s in range(len(order) - 2, -1, -1):
-        suffix_utils[s] = suffix_utils[s + 1] + utils[s + 1]
-    value, stages, ceils, _ = _staged_fixed_point(
-        periods, wcets, utils, tuple(suffix_utils), const,
-        fr.virtual_jitter_max)
+    const = view.target_wcet - sum(mi * c for mi, c in zip(fr.m, view.wcets))
+    stages, ceils, _ = _staged_fixed_point(
+        view, const, view.scaled(fr.virtual_jitter_max))
+    value = stages[-1]
     margin = target.deadline - target.jitter - value
     return RtaResult(value, ceils, stages, margin >= 0, margin)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import NonHarmonic, PiOrder, TaskSet, pi_order
+from .model import OrderedView, TaskSet, ordered_view
 from .rta import NonConvergent, RtaResult
 
 
@@ -44,56 +44,59 @@ class HarmonicIterationTrace:
     early_stop_stage: int | None
 
 
-def _order_arrays(ts: TaskSet, pi: PiOrder):
-    periods = tuple(ts[i].period for i in pi.order)
-    wcets = tuple(ts[i].wcet for i in pi.order)
-    utils = tuple(ts[i].utilization for i in pi.order)
-    for a, b in zip(periods, periods[1:]):
-        if a % b != 0:
-            raise NonHarmonic(
-                f"higher-priority periods {a} and {b} do not divide")
-    return periods, wcets, utils
-
-
-def _staged_fixed_point(periods, wcets, utils, suffix_utils, const, jitter,
+def _staged_fixed_point(view: OrderedView, const: int, jitter: int,
                         early_stop: bool = True):
     """Run the staged iteration for demand t = const + sum C*ceil((t+J)/T).
 
-    Returns (value, stage_values, ceil_evals, early_stop_stage).  `const` is
-    the stage-invariant term (the target wcet, or its virtual-jitter
-    replacement) and `jitter` the uniform jitter J added inside every ceiling.
+    `const` (the target wcet, or its virtual-jitter replacement) and the
+    uniform jitter J are in view units.  Each stage value is kept as a
+    reduced integer pair num/den.  Returns (stage_values, ceil_evals,
+    early_stop_stage), the stage values as Fractions in task time units.
     """
-    total_util = (suffix_utils[0] + utils[0]) if utils else Fraction(0)
-    if total_util >= 1:
+    lcm, total = view.lcm, view.total_unum
+    if total >= lcm:
         raise NonConvergent(
-            f"higher-priority utilization {total_util} >= 1: no fixed point")
-
-    value = Fraction(const + jitter, 1) / (1 - total_util) - jitter
-    stage_values = [value]
+            f"higher-priority utilization {view.utilization} >= 1: "
+            f"no fixed point")
+    scale = view.scale
+    num = const * lcm + jitter * total
+    den = lcm - total
+    g = math.gcd(num, den)
+    num //= g
+    den //= g
+    stage_values = [Fraction(num, den * scale)]
     ceil_evals = 0
     early_stop_stage = None
-    for s, (period, wcet, util) in enumerate(zip(periods, wcets, utils)):
-        shifted = value + jitter
-        if early_stop and shifted % period == 0:
+    for s, (period, wcet, unum, later) in enumerate(zip(
+            view.periods, view.wcets, view.unum, view.suffix_unum)):
+        shifted = num + jitter * den
+        span = period * den
+        if early_stop and shifted % span == 0:
             # Every remaining period divides this one, so all later
             # refinements would leave the value unchanged.
             early_stop_stage = s + 1
             break
         ceil_evals += 1
-        step = (-util * shifted + wcet * math.ceil(shifted / period))
-        value = value + step / (1 - suffix_utils[s])
-        stage_values.append(value)
-    return value, tuple(stage_values), ceil_evals, early_stop_stage
+        # value += (C*ceil((value+J)/T) - U*(value+J)) / (1 - U_later)
+        rest = lcm - later
+        num = (num * rest - unum * shifted
+               + wcet * lcm * den * -(-shifted // span))
+        den *= rest
+        g = math.gcd(num, den)
+        num //= g
+        den //= g
+        stage_values.append(Fraction(num, den * scale))
+    return tuple(stage_values), ceil_evals, early_stop_stage
 
 
 def _staged_result(ts: TaskSet, target_index: int, jitter,
                    early_stop: bool, jitter_aware: bool):
     target = ts[target_index]
-    pi = pi_order(ts, target_index, tie_break="jitter")
-    periods, wcets, utils = _order_arrays(ts, pi)
-    value, stages, ceils, stopped = _staged_fixed_point(
-        periods, wcets, utils, pi.cumulative_util, target.wcet, jitter,
-        early_stop=early_stop)
+    view = ordered_view(ts, target_index, extra=(jitter,))
+    view.require_harmonic()
+    stages, ceils, stopped = _staged_fixed_point(
+        view, view.target_wcet, view.scaled(jitter), early_stop=early_stop)
+    value = stages[-1]
     slack = target.deadline - value
     if jitter_aware:
         slack -= target.jitter
@@ -142,14 +145,14 @@ def wcrt_jitter_bounds(ts: TaskSet, target_index: int):
     the higher-priority jitters.  The exact per-task-jitter WCRT always lies
     between the two.
     """
-    pi = pi_order(ts, target_index, tie_break="jitter")
-    if not pi.order:
+    view = ordered_view(ts, target_index)
+    if not view.order:
         wcrt = Fraction(ts[target_index].wcet)
         return wcrt, wcrt
-    jitters = [ts[i].jitter for i in pi.order]
-    low, _ = wcrt_uniform_jitter(ts, target_index, min(jitters))
-    high, _ = wcrt_uniform_jitter(ts, target_index, max(jitters))
-    return low.wcrt, high.wcrt
+    view.require_harmonic()
+    low, _, _ = _staged_fixed_point(view, view.target_wcet, min(view.jitters))
+    high, _, _ = _staged_fixed_point(view, view.target_wcet, max(view.jitters))
+    return low[-1], high[-1]
 
 
 def wcrt_exclusion_model(ts: TaskSet, target_index: int) -> RtaResult:
@@ -161,9 +164,8 @@ def wcrt_exclusion_model(ts: TaskSet, target_index: int) -> RtaResult:
     ordinary one, which is what carves the exclusion intervals.
     """
     _reject_jitters(ts, target_index)
-    pi = pi_order(ts, target_index, tie_break="jitter")
-    return _shifted_fixed_point(ts, target_index, pi,
-                                list(pi.cumulative_wcet))
+    view = ordered_view(ts, target_index)
+    return _shifted_fixed_point(ts[target_index], view, view.suffix_wcet)
 
 
 def wcrt_with_delays(ts: TaskSet, target_index: int, delta) -> RtaResult:
@@ -174,46 +176,49 @@ def wcrt_with_delays(ts: TaskSet, target_index: int, delta) -> RtaResult:
     unchanged.  Raises DeltaOutOfRange naming the offending position.
     """
     _reject_jitters(ts, target_index)
-    pi = pi_order(ts, target_index, tie_break="jitter")
-    if len(delta) != len(pi.order):
+    view = ordered_view(ts, target_index, extra=delta)
+    if len(delta) != len(view.order):
         raise DeltaOutOfRange(
-            f"need {len(pi.order)} shifts, got {len(delta)}")
-    for k, d in enumerate(delta):
-        if not 0 <= d <= pi.cumulative_wcet[k]:
+            f"need {len(view.order)} shifts, got {len(delta)}")
+    shifts = [view.scaled(d) for d in delta]
+    for k, (d, shift, limit) in enumerate(zip(delta, shifts,
+                                               view.suffix_wcet)):
+        if not 0 <= shift <= limit:
             raise DeltaOutOfRange(
-                f"delta[{k}]={d} outside [0, {pi.cumulative_wcet[k]}]")
-    return _shifted_fixed_point(ts, target_index, pi, list(delta))
+                f"delta[{k}]={d} outside [0, {Fraction(limit, view.scale)}]")
+    return _shifted_fixed_point(ts[target_index], view, shifts)
 
 
-def _shifted_fixed_point(ts: TaskSet, target_index: int, pi: PiOrder,
-                         shifts) -> RtaResult:
-    target = ts[target_index]
-    periods, wcets, utils = _order_arrays(ts, pi)
-    total_util = sum(utils, Fraction(0))
-    if total_util >= 1:
+def _shifted_fixed_point(target, view: OrderedView, shifts) -> RtaResult:
+    view.require_harmonic()
+    if view.total_unum >= view.lcm:
         raise NonConvergent(
-            f"higher-priority utilization {total_util} >= 1: no fixed point")
+            f"higher-priority utilization {view.utilization} >= 1: "
+            f"no fixed point")
 
     # Kleene iteration from C_n.  Each suffix wcet sum is < the period at its
     # position (utilization < 1 on dividing periods), so shifted arguments
     # stay above -period and every ceiling term is >= 0: iterates are
     # monotone and converge to the least fixed point from below.
-    value = target.wcet
-    trace = [value]
+    terms = tuple(zip(view.periods, view.wcets, shifts))
+    wcet = view.target_wcet
+    value = wcet
+    trace = [target.wcet]
     iterations = 0
     while True:
-        total = target.wcet
-        for period, wcet, shift in zip(periods, wcets, shifts):
-            total += wcet * math.ceil(Fraction(value - shift, period))
-        trace.append(total)
+        total = wcet
+        for period, task_wcet, shift in terms:
+            total += task_wcet * -((shift - value) // period)
+        trace.append(view.unscaled(total))
         iterations += 1
         if total == value:
             break
         if iterations >= 10 ** 6:
             raise NonConvergent(f"no fixed point after {iterations} steps")
         value = total
-    margin = target.deadline - value
-    return RtaResult(value, iterations, tuple(trace), margin >= 0, margin)
+    wcrt = trace[-2]
+    margin = target.deadline - wcrt
+    return RtaResult(wcrt, iterations, tuple(trace), margin >= 0, margin)
 
 
 def check_restricted_jitter(ts: TaskSet, target_index: int) -> bool:
@@ -225,12 +230,9 @@ def check_restricted_jitter(ts: TaskSet, target_index: int) -> bool:
     wcrt_uniform_jitter(ts, target, J_last) equals the exact per-task-jitter
     WCRT.  The condition is sufficient, not necessary.
     """
-    pi = pi_order(ts, target_index, tie_break="jitter")
-    if not pi.order:
+    view = ordered_view(ts, target_index)
+    if not view.order:
         raise ValueError("target has no higher-priority tasks")
-    j_last = ts[pi.order[-1]].jitter
-    for k, idx in enumerate(pi.order):
-        j = ts[idx].jitter
-        if not max(0, j_last - pi.cumulative_wcet[k]) <= j <= j_last:
-            return False
-    return True
+    j_last = view.jitters[-1]
+    return all(max(0, j_last - later) <= j <= j_last
+               for j, later in zip(view.jitters, view.suffix_wcet))

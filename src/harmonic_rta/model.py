@@ -9,8 +9,11 @@ periods (one period of every pair divides the other).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
+from operator import mod
 
 
 class TaskModelError(ValueError):
@@ -41,7 +44,7 @@ class JitterTooLarge(TaskModelError):
     """A release jitter is not in [0, period)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Task:
     """One sporadic task.  Times are integer time units; priority 1 is highest.
 
@@ -209,6 +212,120 @@ def pi_order(ts: TaskSet, target_index: int, tie_break: str = "jitter") -> PiOrd
     return PiOrder(target_index, order, tuple(cum_wcet), tuple(cum_util))
 
 
+def scaled(values, scale: int) -> tuple[int, ...]:
+    """Each int or Fraction value times `scale` (a multiple of its
+    denominator), as an int."""
+    return tuple(v.numerator * (scale // v.denominator) for v in values)
+
+
+def _suffix_sums(values) -> list:
+    """[sum(values[k + 1:]) for every k] in one pass; values is non-empty."""
+    return list(accumulate(values[:0:-1], initial=0))[::-1]
+
+
+class OrderedView:
+    """Interfering tasks of one analysis call, in plain `int`.
+
+    The tasks are in non-increasing period order.  When a wcet, a jitter or
+    an `extra` value (a uniform jitter, a demand shift) is rational, every
+    time is multiplied by the common denominator `scale`: that changes the
+    unit of time, not a ceiling or a fixed point.  Utilizations are integer
+    numerators `unum` over `lcm`, the least common multiple of the scaled
+    periods (the largest one when they divide).  `suffix_wcet[k]` and
+    `suffix_unum[k]` sum over the tasks strictly after position k.
+    `rational` records whether a wcet was a Fraction, which decides the
+    type of the values the fixed points return.  Built per call, never
+    cached.
+    """
+
+    __slots__ = ("order", "periods", "wcets", "jitters", "target_wcet",
+                 "scale", "rational", "nondividing", "lcm", "unum",
+                 "total_unum", "suffix_wcet", "suffix_unum")
+
+    def __init__(self, order, periods, wcets, jitters, target_wcet=0,
+                 extra=()):
+        self.order = order
+        # A sum is an int exactly when every term is one.
+        self.rational = type(sum(wcets, target_wcet)) is not int
+        self.nondividing = None
+        if any(map(mod, periods, periods[1:])):
+            self.nondividing = next(
+                (a, b) for a, b in zip(periods, periods[1:]) if a % b)
+        scale = 1
+        if (self.rational or type(sum(jitters)) is not int
+                or type(sum(extra)) is not int):
+            scale = math.lcm(*(v.denominator for v in
+                               (target_wcet, *wcets, *jitters, *extra)))
+            periods = tuple(t * scale for t in periods)
+            wcets = scaled(wcets, scale)
+            jitters = scaled(jitters, scale)
+            target_wcet = scaled((target_wcet,), scale)[0]
+        self.periods, self.wcets, self.jitters = periods, wcets, jitters
+        self.target_wcet = target_wcet
+        self.scale = scale
+
+        if not periods:
+            self.lcm, self.total_unum = 1, 0
+            self.unum = self.suffix_wcet = self.suffix_unum = ()
+            return
+        lcm = periods[0] if self.nondividing is None else math.lcm(*periods)
+        unum = [w * (lcm // t) for t, w in zip(periods, wcets)]
+        self.lcm = lcm
+        self.unum = unum
+        self.total_unum = sum(unum)
+        self.suffix_wcet = _suffix_sums(wcets)
+        self.suffix_unum = _suffix_sums(unum)
+
+    @property
+    def utilization(self) -> Fraction:
+        return Fraction(self.total_unum, self.lcm)
+
+    def scaled(self, value) -> int:
+        """An int or Fraction time (a multiple of 1/scale) in view units."""
+        return value.numerator * (self.scale // value.denominator)
+
+    def unscaled(self, value: int):
+        """A fixed-point iterate back in task time units: a Fraction when
+        some wcet was one, else an int."""
+        if self.rational:
+            return Fraction(value, self.scale)
+        return value // self.scale
+
+    def require_harmonic(self) -> None:
+        if self.nondividing is not None:
+            a, b = self.nondividing
+            raise NonHarmonic(
+                f"higher-priority periods {a} and {b} do not divide")
+
+
+def ordered_view(ts: TaskSet, target_index: int | None,
+                 jitter_ties: bool = True, extra=()) -> OrderedView:
+    """The view of the target's higher-priority tasks (all tasks for None).
+
+    Period ties go by non-decreasing jitter, then priority, when
+    `jitter_ties` is set (the WCRT iterations' order, as `pi_order`), else
+    by priority (the order the shift solver's windows are defined over).
+    Rational `extra` values the caller will convert with `view.scaled`
+    join the common denominator.
+    """
+    tasks = ts.tasks
+    if target_index is None:
+        hp, target_wcet = tasks, 0
+    else:
+        if not 0 <= target_index < len(tasks):
+            raise IndexError(f"target index {target_index} out of range")
+        hp, target_wcet = tasks[:target_index], tasks[target_index].wcet
+    if jitter_ties:
+        keys = sorted([(-t.period, t.jitter, i) for i, t in enumerate(hp)])
+    else:
+        keys = sorted([(-t.period, i) for i, t in enumerate(hp)])
+    order = tuple([key[-1] for key in keys])
+    chosen = [hp[i] for i in order]
+    return OrderedView(order, tuple([t.period for t in chosen]),
+                       tuple([t.wcet for t in chosen]),
+                       tuple([t.jitter for t in chosen]), target_wcet, extra)
+
+
 def load_tasks(path: str) -> TaskSet:
     """Read and strictly validate a task-set file.
 
@@ -216,16 +333,20 @@ def load_tasks(path: str) -> TaskSet:
     array of objects with integer fields "period", "wcet", "deadline",
     "jitter" (optional, default 0) and "priority"; an optional string "id".
     """
+    return tasks_from_dict(read_task_document(path), where=path)
+
+
+def read_task_document(path: str):
+    """The parsed JSON document of a task-set file, not yet validated."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
         raise TaskModelError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise TaskModelError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from exc
-    return tasks_from_dict(doc, where=path)
 
 
 def tasks_from_dict(doc, where: str = "<input>") -> TaskSet:

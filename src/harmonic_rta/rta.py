@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Task, TaskSet
+from .model import OrderedView, TaskSet, ordered_view
 
 MAX_ITERATIONS = 10 ** 6
 
@@ -43,58 +43,55 @@ class RtaResult:
     margin: Fraction | int
 
 
-def _ceil_div(num, den: int):
-    """Exact ceil(num/den) for int or Fraction num and positive int den."""
-    if isinstance(num, int):
-        return -(-num // den)
-    return math.ceil(Fraction(num, den))
+def _iterate(view: OrderedView, jitters, start) -> tuple:
+    """Least fixed point of t = C_n + sum C_i*ceil((t + J_i)/T_i).
 
-
-def _demand(t, wcet, hp: tuple[Task, ...], jitters: tuple[int, ...]):
-    total = wcet
-    for task, j in zip(hp, jitters):
-        total += task.wcet * _ceil_div(t + j, task.period)
-    return total
-
-
-def _iterate(ts: TaskSet, target_index: int, jitters: tuple[int, ...],
-             start=None) -> tuple:
-    target = ts[target_index]
-    hp = ts.tasks[:target_index]
-    u_hp = sum((t.utilization for t in hp), Fraction(0))
-    if u_hp >= 1:
+    Iterates in view units and returns (wcrt, iterations, trace) in task
+    time units; the trace starts at `start`, by default the exact rational
+    weighted start.
+    """
+    lcm, total = view.lcm, view.total_unum
+    if total >= lcm:
         raise NonConvergent(
-            f"higher-priority utilization {u_hp} >= 1: no fixed point exists")
-
+            f"higher-priority utilization {view.utilization} >= 1: "
+            f"no fixed point exists")
+    scale = view.scale
+    wcet = view.target_wcet
+    spare = lcm - total
+    lift = sum(u * j for u, j in zip(view.unum, jitters))
     if start is None:
         # Weighted start (C_n + sum U_i*J_i)/(1 - U_hp): a provable lower
         # bound on the least fixed point (the demand dominates the line
         # C_n + U_hp*t + sum U_i*J_i pointwise), so iteration from it is safe.
-        start = (Fraction(target.wcet)
-                 + sum((t.utilization * j for t, j in zip(hp, jitters)),
-                       Fraction(0))) / (1 - u_hp)
+        start = Fraction(wcet * lcm + lift, spare * scale)
         if start.denominator == 1:
             start = int(start)
+    num, den = start.numerator * scale, start.denominator
 
     # Unreachable for admissible inputs; guards relaxed-mode misuse.
-    value_cap = math.ceil(
-        (Fraction(target.wcet)
-         + sum((t.wcet + t.utilization * j for t, j in zip(hp, jitters)),
-               Fraction(0))) / (1 - u_hp))
+    value_cap = -(-((wcet + sum(view.wcets)) * lcm + lift) // (spare * scale))
+    limit = value_cap * scale
 
-    trace = [start]
-    cur = start
-    iterations = 0
-    while True:
-        nxt = _demand(cur, target.wcet, hp, jitters)
-        trace.append(nxt)
-        iterations += 1
-        if nxt == cur:
-            return nxt, iterations, tuple(trace)
-        if nxt > value_cap or iterations >= MAX_ITERATIONS:
-            raise NonConvergent(
-                f"no fixed point below {value_cap} after {iterations} steps")
+    terms = tuple(zip(view.periods, view.wcets, jitters))
+    # The start may be rational:
+    # ceil((num/den + J)/T) = ceil((num + J*den)/(T*den)).
+    nxt = wcet
+    for period, task_wcet, j in terms:
+        nxt += task_wcet * -((-num - j * den) // (period * den))
+    values = [nxt]
+    converged = nxt * den == num
+    while not converged:
+        if nxt > limit or len(values) >= MAX_ITERATIONS:
+            raise NonConvergent(f"no fixed point below {value_cap} after "
+                                f"{len(values)} steps")
         cur = nxt
+        nxt = wcet
+        for period, task_wcet, j in terms:
+            nxt += task_wcet * -((-cur - j) // period)
+        values.append(nxt)
+        converged = nxt == cur
+    trace = (start, *map(view.unscaled, values))
+    return trace[-1], len(values), trace
 
 
 def wcrt_fixed_point(ts: TaskSet, target_index: int, start=None) -> RtaResult:
@@ -104,18 +101,10 @@ def wcrt_fixed_point(ts: TaskSet, target_index: int, start=None) -> RtaResult:
     C_n/(1 - U_hp) (or from `start` when given).  Schedulable iff
     wcrt <= deadline.
     """
-    target = ts[target_index]
-    if start is None:
-        u_hp = sum((t.utilization for t in ts.tasks[:target_index]), Fraction(0))
-        if u_hp >= 1:
-            raise NonConvergent(
-                f"higher-priority utilization {u_hp} >= 1: no fixed point exists")
-        start = Fraction(target.wcet) / (1 - u_hp)
-        if start.denominator == 1:
-            start = int(start)
-    zeros = (0,) * target_index
-    wcrt, iterations, trace = _iterate(ts, target_index, zeros, start=start)
-    margin = target.deadline - wcrt
+    view = ordered_view(ts, target_index)
+    zeros = (0,) * len(view.order)
+    wcrt, iterations, trace = _iterate(view, zeros, start)
+    margin = ts[target_index].deadline - wcrt
     return RtaResult(wcrt, iterations, trace, margin >= 0, margin)
 
 
@@ -127,8 +116,8 @@ def wcrt_fixed_point_jitter(ts: TaskSet, target_index: int, start=None) -> RtaRe
     measured from release; arrival-to-deadline adds the target's own jitter).
     """
     target = ts[target_index]
-    jitters = tuple(t.jitter for t in ts.tasks[:target_index])
-    wcrt, iterations, trace = _iterate(ts, target_index, jitters, start=start)
+    view = ordered_view(ts, target_index)
+    wcrt, iterations, trace = _iterate(view, view.jitters, start)
     margin = target.deadline - target.jitter - wcrt
     return RtaResult(wcrt, iterations, trace, margin >= 0, margin)
 

@@ -1,5 +1,6 @@
 """Command-line surface: report formats, exit codes, round trips."""
 
+import builtins
 import json
 from fractions import Fraction
 from types import SimpleNamespace
@@ -248,14 +249,25 @@ def test_generate_single_task_file(tmp_path, capsys):
     assert ts[0].jitter == 0
 
 
-def test_generate_seed_metadata_reaches_analyze(tmp_path, capsys):
+def test_generate_seed_metadata_reaches_analyze(tmp_path, capsys,
+                                                monkeypatch):
     dest = tmp_path / "gen.json"
     run_cli(["generate", "--n", "3", "--seed", "9", "--output", str(dest)],
             capsys)
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
     rc, out, _ = run_cli(["analyze", "--input", str(dest), "--method",
                           "harmonic", "--deterministic"], capsys)
     assert rc == 0
     assert "# seed=9" in out.splitlines()
+    # The task set and the seed come from one read of the file.
+    assert opened.count(str(dest)) == 1
 
 
 def test_generate_batch(tmp_path, capsys):
@@ -318,6 +330,16 @@ def test_experiment_jobs_flag_is_invariant(capsys):
     strip = lambda text: [l for l in text.splitlines()
                           if not l.startswith("# jobs=")]
     assert strip(one) == strip(two)
+
+
+def test_experiment_jobs_two_runs_chunks_in_worker_processes(capsys):
+    # Ten alpha points are ten chunks, so --jobs 2 starts two workers.
+    base = ["experiment", "feasibility-sweep", "--sets", "30", "--n", "4",
+            "--seed", "3", "--deterministic"]
+    _, one, _ = run_cli(base + ["--jobs", "1"], capsys)
+    _, two, _ = run_cli(base + ["--jobs", "2"], capsys)
+    assert one.replace("# jobs=1\n", "# jobs=2\n") == two
+    assert len(csv_rows(two)) == 10
 
 
 def test_experiment_feasibility_sweep_small(capsys):

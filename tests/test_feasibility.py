@@ -1,10 +1,16 @@
 """Shift-count solver: worked example, brute-force agreement, virtual-jitter WCRT."""
 
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import harmonic_rta
 from harmonic_rta import (
     CapTooSmall,
     Rng,
@@ -24,7 +30,7 @@ from harmonic_rta.feasibility import (
     satisfies_constraints,
     solve_feasibility_arrays,
 )
-from conftest import mk
+from conftest import mk, write_task_file
 
 
 def test_worked_example(walkthrough):
@@ -239,3 +245,31 @@ def test_restricted_jitter_equals_uniform_oracle():
         result, _ = wcrt_uniform_jitter(ts, target, j_last)
         assert result.wcrt == wcrt_fixed_point_jitter(ts, target).wcrt
     assert checked > 50
+
+
+def test_failed_self_check_raises_under_optimize(tmp_path, walkthrough):
+    # python -O strips asserts; the solver's check against the full shift
+    # system must still reject a result, and the CLI must exit 2 with one
+    # line on stderr.
+    path = write_task_file(tmp_path / "five.json", walkthrough)
+    script = textwrap.dedent(f"""
+        import sys
+        from harmonic_rta import feasibility, main
+        feasibility.satisfies_constraints = lambda *args: False
+        try:
+            feasibility.solve_feasibility_arrays((100, 10), (1, 1), (50, 0))
+        except feasibility.SolverCheckFailed:
+            pass
+        else:
+            sys.exit("solve_feasibility_arrays returned an unchecked result")
+        sys.exit(main(["check-jitter", "--input", {path!r}]))
+    """)
+    src = str(Path(harmonic_rta.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: shift counts (1, 3, 4, 24, 48) ")
+    assert proc.stderr.count("\n") == 1
