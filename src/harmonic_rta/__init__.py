@@ -9,7 +9,7 @@ Library layout:
 - feasibility: virtual-jitter shift solver, brute-force oracle, gamma cases,
   virtual-jitter WCRT
 - generator: seeded RNG, UUniFast, harmonic periods, jitter sampling
-- simulator: discrete-event preemptive fixed-priority scheduler
+- simulator: exact preemptive fixed-priority schedule, level by level
 - experiments: Monte Carlo sweeps behind the experiment subcommand
 - cli: analyze / check-jitter / generate / experiment subcommands
 """
@@ -64,6 +64,7 @@ from .feasibility import (
 from .generator import (
     GenConfig,
     Rng,
+    SamplingFailed,
     gen_constrained_jitters,
     gen_harmonic_periods,
     gen_unconstrained_jitters,

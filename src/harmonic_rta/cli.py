@@ -24,7 +24,13 @@ from .experiments import (
     oracle_cross_check,
 )
 from .feasibility import solve_feasibility, wcrt_virtual_jitter
-from .generator import GenConfig, Rng, generate_interference_set, generate_with_target
+from .generator import (
+    GenConfig,
+    Rng,
+    SamplingFailed,
+    generate_interference_set,
+    generate_with_target,
+)
 from .harmonic import (
     check_restricted_jitter,
     wcrt_exclusion_model,
@@ -41,7 +47,7 @@ from .model import (
     tasks_to_dict,
 )
 from .rta import wcrt_fixed_point, wcrt_fixed_point_jitter
-from .simulator import SimConfig, simulate
+from .simulator import HorizonTooShort, SimConfig, simulate
 
 METHODS = ("harmonic", "uniform-jitter", "fixed-point", "fixed-point-jitter",
            "exclusion", "virtual-jitter", "simulate")
@@ -168,10 +174,11 @@ def _analyze_one(ts: TaskSet, index: int, method: str) -> ReportRow:
 def _simulate_rows(ts: TaskSet, targets: list[int]) -> list[ReportRow]:
     # One run serves every target: releasing each task maximally late
     # (offset = jitter) realizes the jitter-aware critical instant for all
-    # priority levels at once.
-    oracles = {i: wcrt_fixed_point_jitter(ts, i).wcrt for i in targets}
+    # priority levels at once.  The simulator checks every task's first
+    # job, so the horizon covers every task's WCRT, not only the targets'.
     longest = max(task.period for task in ts)
-    need = 2 * max(oracles.values())
+    need = 2 * max(wcrt_fixed_point_jitter(ts, i).wcrt
+                   for i in range(len(ts)))
     horizon = max(longest, -(-need.numerator // need.denominator))
     offsets = tuple(task.jitter for task in ts)
     trace = simulate(ts, SimConfig(horizon=horizon, release_offsets=offsets))
@@ -511,7 +518,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handlers[args.command](args)
     except (CliError, TaskModelError, ValueError, ArithmeticError,
-            OSError) as exc:
+            OSError, SamplingFailed, HorizonTooShort) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -31,6 +31,10 @@ JITTER_UNCONSTRAINED = "unconstrained"
 JITTER_CONSTRAINED = "constrained"
 
 
+class SamplingFailed(RuntimeError):
+    """No valid task set was drawn within the generator's attempt budget."""
+
+
 def _rotl(x: int, k: int) -> int:
     return ((x << k) | (x >> (64 - k))) & _MASK64
 
@@ -253,7 +257,7 @@ def generate_interference_set(config: GenConfig, rng: Rng | None = None
         tasks = [Task(period=t, wcet=c, deadline=t, jitter=j, priority=p + 1)
                  for p, (t, c, j) in enumerate(zip(periods, wcets, jitters))]
         return validate(tasks, relaxed=not config.integer_wcets)
-    raise RuntimeError("could not sample a valid set in 1000 attempts")
+    raise SamplingFailed("could not sample a valid set in 1000 attempts")
 
 
 def generate_with_target(config: GenConfig, rng: Rng | None = None) -> TaskSet:
@@ -286,4 +290,4 @@ def generate_with_target(config: GenConfig, rng: Rng | None = None) -> TaskSet:
                             relaxed=not config.integer_wcets)
         except ValueError:
             continue
-    raise RuntimeError("could not sample a valid set in 1000 attempts")
+    raise SamplingFailed("could not sample a valid set in 1000 attempts")

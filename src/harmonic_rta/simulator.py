@@ -1,21 +1,33 @@
-"""Discrete-event preemptive fixed-priority uniprocessor simulator.
+"""Exact preemptive fixed-priority uniprocessor schedule, built level by level.
 
-Serves as an empirical oracle: exact integer event times, synchronous
-worst-case first releases, per-job response times.  Release offsets model
-the worst-case early-release (jitter) pattern: task i's first job arrives at
+Serves as an empirical oracle: exact integer times, synchronous worst-case
+first releases, per-job response times.  Release offsets model the
+worst-case early-release (jitter) pattern: task i's first job arrives at
 -offset_i and is released at time 0 together with every other first job;
 all later jobs of the task arrive and release at k*period - offset_i, so
 consecutive releases of a task are squeezed to the minimum spacing the
 jitter bound allows.  Zero offsets therefore reproduce the jitter-free
 critical instant, and offsets equal to the jitters reproduce the jitter-aware
 worst-case demand.
+
+The schedule is built one priority level at a time.  A lower-priority job
+never delays a higher-priority one, so once the higher levels are placed,
+each job of the next task simply occupies the first C units of processor
+time left free at or after its release, and the jobs of one task run in
+release order.  Every gap in a job's execution is time taken by a
+higher-priority release, that is one preemption; a release exactly at a
+job's finish preempts nothing.  The free gaps left once every level is
+placed are the processor's idle intervals.
 """
 
 from __future__ import annotations
 
-import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import product
+from math import inf
+from operator import itemgetter
+from typing import NamedTuple
 
 from .model import TaskSet
 
@@ -42,8 +54,7 @@ class SimConfig:
     arrival_policy: str = ARRIVAL_MIN_SPACING
 
 
-@dataclass(frozen=True)
-class Job:
+class Job(NamedTuple):
     task_id: str
     job_index: int
     arrival: int
@@ -54,6 +65,12 @@ class Job:
     @property
     def response(self) -> int:
         return self.finish - self.release
+
+
+# Builds a Job from one tuple without the Python-level __new__ call.
+_new_job = tuple.__new__
+# Trace order: release, finish, task id.
+_job_order = itemgetter(3, 5, 0)
 
 
 @dataclass(frozen=True)
@@ -85,11 +102,13 @@ class SimTrace:
 def simulate(ts: TaskSet, cfg: SimConfig) -> SimTrace:
     """Run the schedule and return the exact trace.
 
-    Jobs are released strictly before cfg.horizon and the event loop drains
-    all of them; a job finishing past the horizon is exact for this finite
-    workload (no further releases exist to preempt it).  HorizonTooShort is
-    raised iff some task's first job (the analyzed one under the worst-case
-    release pattern) fails to finish by the horizon.
+    Jobs are released strictly before cfg.horizon (first jobs always at 0)
+    and every one of them is scheduled to completion; a job finishing past
+    the horizon is exact for this finite workload (no further releases
+    exist to preempt it).  HorizonTooShort is raised iff some task's first
+    job (the analyzed one under the worst-case release pattern) fails to
+    finish by the horizon; it names the highest-priority such task.  Jobs
+    are listed by (release, finish, task id).
     """
     n = len(ts)
     offsets = cfg.release_offsets if cfg.release_offsets is not None else (0,) * n
@@ -104,90 +123,74 @@ def simulate(ts: TaskSet, cfg: SimConfig) -> SimTrace:
                 f"task {task.id}: simulation needs integer wcets, got {task.wcet!r}")
     if cfg.arrival_policy != ARRIVAL_MIN_SPACING:
         raise ValueError(f"unknown arrival policy {cfg.arrival_policy!r}")
-    if cfg.horizon < max(t.period for t in ts):
+    horizon = cfg.horizon
+    if horizon < max(t.period for t in ts):
         raise ValueError("horizon must be at least the largest period")
 
-    # Lazy release stream: heap of (release, priority, task_index, job_index);
-    # popping job k schedules job k+1 of the same task.
-    releases: list[tuple[int, int, int, int]] = []
-    for i, task in enumerate(ts):
-        heapq.heappush(releases, (0, task.priority, i, 0))
-
-    def push_next(i: int, k: int) -> None:
-        rel = (k + 1) * ts[i].period - offsets[i]
-        if rel < cfg.horizon:
-            heapq.heappush(releases, (rel, ts[i].priority, i, k + 1))
-
-    ready: list[tuple[int, int, int]] = []   # (priority, job_index, task_index)
-    remaining: dict[tuple[int, int], int] = {}
-    started: dict[tuple[int, int], int] = {}
-    finished: dict[tuple[int, int], int] = {}
-    job_count: dict[int, int] = {i: 0 for i in range(n)}
-    now = 0
-    current: tuple[int, int, int] | None = None
+    # Processor time not taken by the levels placed so far: disjoint,
+    # non-adjacent intervals [starts[m], ends[m]) in time order, the last
+    # one unbounded.  TaskSet index order is priority order.
+    starts = [0]
+    ends = [inf]
     preemptions = 0
-    idle: list[tuple[int, int]] = []
-
-    def admit_due() -> None:
-        while releases and releases[0][0] <= now:
-            rel, prio, i, k = heapq.heappop(releases)
-            remaining[(i, k)] = ts[i].wcet
-            job_count[i] = max(job_count[i], k + 1)
-            heapq.heappush(ready, (prio, k, i))
-            push_next(i, k)
-
-    while True:
-        admit_due()
-        if current is None:
-            if ready:
-                prio, k, i = heapq.heappop(ready)
-                current = (prio, k, i)
-                started.setdefault((i, k), now)
-            elif releases:
-                nxt = releases[0][0]
-                idle.append((now, nxt))
-                now = nxt
-                continue
-            else:
-                break
-        prio, k, i = current
-        finish_at = now + remaining[(i, k)]
-        next_release = releases[0][0] if releases else None
-        if next_release is not None and next_release < finish_at:
-            remaining[(i, k)] -= next_release - now
-            now = next_release
-            admit_due()
-            if ready and ready[0][0] < prio:
-                heapq.heappush(ready, current)
-                current = None
-                preemptions += 1
-        else:
-            now = finish_at
-            finished[(i, k)] = now
-            current = None
-
     jobs = []
-    horizon_violator = None
-    for i, task in enumerate(ts):
-        for k in range(job_count[i]):
-            release = 0 if k == 0 else k * task.period - offsets[i]
-            arrival = k * task.period - offsets[i]
-            fin = finished[(i, k)]
-            jobs.append(Job(task.id, k, arrival, release, started[(i, k)], fin))
-            if k == 0 and fin > cfg.horizon and horizon_violator is None:
-                horizon_violator = task.id
-    if horizon_violator is not None:
-        raise HorizonTooShort(
-            f"first job of task {horizon_violator} unfinished at horizon "
-            f"{cfg.horizon}")
+    for task, off in zip(ts, offsets):
+        task_id = task.id
+        period = task.period
+        wcet = task.wcet
+        k = 0
+        arrival = -off
+        release = 0
+        while True:
+            # Run in free intervals m..last from the first free instant at
+            # or after the release until wcet units are done.
+            m = bisect_right(ends, release)
+            head = starts[m]
+            start = head if head > release else release
+            left = wcet
+            last = m
+            begin = start
+            while ends[last] - begin < left:
+                left -= ends[last] - begin
+                last += 1
+                begin = starts[last]
+            finish = begin + left
+            preemptions += last - m
+            # Give back [finish, ends[last]) and [head, start), drop the rest.
+            stop = last + 1
+            if finish < ends[last]:
+                starts[last] = finish
+                stop = last
+            if head < start:
+                if m < stop:
+                    ends[m] = start
+                    m += 1
+                else:
+                    starts.insert(m, head)
+                    ends.insert(m, start)
+            if m < stop:
+                del starts[m:stop]
+                del ends[m:stop]
+            if k == 0 and finish > horizon:
+                raise HorizonTooShort(
+                    f"first job of task {task_id} unfinished at horizon "
+                    f"{horizon}")
+            jobs.append(_new_job(Job, (task_id, k, arrival, release, start,
+                                       finish)))
+            k += 1
+            arrival += period
+            if arrival >= horizon:
+                break
+            release = arrival
 
-    jobs.sort(key=lambda j: (j.release, j.finish, j.task_id))
+    # Stable, so equal keys keep task then job index order.
+    jobs.sort(key=_job_order)
     response_times: dict = {}
-    for job in jobs:
-        prev = response_times.get(job.task_id)
-        if prev is None or job.response > prev:
-            response_times[job.task_id] = job.response
-    return SimTrace(tuple(jobs), response_times, preemptions, tuple(idle))
+    for task_id, _, _, release, _, finish in jobs:
+        if finish - release > response_times.get(task_id, 0):
+            response_times[task_id] = finish - release
+    idle = tuple(zip(starts[:-1], ends[:-1]))
+    return SimTrace(tuple(jobs), response_times, preemptions, idle)
 
 
 def adversarial_response(ts: TaskSet, target_index: int, cfg: SimConfig) -> int:

@@ -10,6 +10,7 @@ import pytest
 import harmonic_rta.cli as cli
 from harmonic_rta import (
     CliError,
+    HorizonTooShort,
     cmd_analyze,
     format_decimal,
     load_tasks,
@@ -109,6 +110,40 @@ def test_analyze_simulate_matches_analysis(table1_file, capsys):
     assert [int(r["wcrt_num"]) for r in rows] == list(TABLE1_WCRTS)
     # One shared schedule serves every target: equal job counts.
     assert len({r["steps"] for r in rows}) == 1
+
+
+def test_analyze_simulate_single_target_sizes_horizon_for_every_task(
+        tmp_path, capsys):
+    # t1's own WCRT (5) would give horizon 100, but t2's first job, packed
+    # behind t1's releases at 0, 1 and 11, finishes at 109.
+    path = write_task_file(tmp_path / "packed.json",
+                           mk([(10, 5, 9), (100, 49, 0)]))
+    base = ["analyze", "--input", path, "--method", "simulate",
+            "--deterministic"]
+    rc_all, out_all, _ = run_cli(base, capsys)
+    rc, out, err = run_cli(base + ["--target", "1"], capsys)
+    assert rc_all == rc == 1 and err == ""
+    row_all = csv_rows(out_all)
+    assert row_all[1]["wcrt_num"] == "109"
+    assert csv_rows(out) == row_all[:1]
+
+
+def test_runtime_failures_exit_two_with_one_line(table1_file, monkeypatch,
+                                                 capsys):
+    rc, out, err = run_cli(["generate", "--n", "30", "--utilization", "9/10",
+                            "--factor-range", "1", "1"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == "error: could not sample a valid set in 1000 attempts\n"
+
+    def short(ts, cfg):
+        raise HorizonTooShort("first job of task t6 unfinished at horizon 360")
+
+    monkeypatch.setattr(cli, "simulate", short)
+    rc, out, err = run_cli(["analyze", "--input", table1_file, "--method",
+                            "simulate"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == ("error: first job of task t6 unfinished at horizon "
+                   "360\n")
 
 
 def test_analyze_virtual_jitter_reports_infeasible_targets(table1_file, capsys):
