@@ -21,6 +21,7 @@ from .experiments import (
     DEFAULT_SIM_JOB_CAP,
     feasibility_sweep,
     heuristic_quality,
+    method_values,
     oracle_cross_check,
 )
 from .feasibility import solve_feasibility, wcrt_virtual_jitter
@@ -32,7 +33,7 @@ from .generator import (
     generate_with_target,
 )
 from .harmonic import (
-    check_restricted_jitter,
+    shared_jitter,
     wcrt_exclusion_model,
     wcrt_harmonic,
     wcrt_uniform_jitter,
@@ -41,7 +42,6 @@ from .model import (
     TaskModelError,
     TaskSet,
     load_tasks,
-    pi_order,
     read_task_document,
     tasks_from_dict,
     tasks_to_dict,
@@ -131,11 +131,6 @@ def _require_jitter_free(ts: TaskSet, target_index: int, method: str) -> None:
                 f"{task.id} has jitter {task.jitter}")
 
 
-def _shared_jitter(ts: TaskSet, target_index: int):
-    order = pi_order(ts, target_index).order
-    return ts[order[-1]].jitter if order else 0
-
-
 def _row(task, method, result) -> ReportRow:
     return ReportRow(task.id, task.period, int(task.wcet), task.deadline,
                      task.jitter, method, result.wcrt, result.schedulable,
@@ -148,7 +143,7 @@ def _analyze_one(ts: TaskSet, index: int, method: str) -> ReportRow:
         result, _ = wcrt_harmonic(ts, index)
         return _row(task, method, result)
     if method == "uniform-jitter":
-        result, _ = wcrt_uniform_jitter(ts, index, _shared_jitter(ts, index))
+        result, _ = wcrt_uniform_jitter(ts, index, shared_jitter(ts, index))
         return _row(task, method, result)
     if method == "fixed-point":
         _require_jitter_free(ts, index, method)
@@ -197,23 +192,7 @@ def _cross_validate(ts: TaskSet, index: int, primary: str,
                     primary_wcrt) -> None:
     """Exact-agreement self-check of every method applicable to this target."""
     jittered = any(t.jitter for t in ts.tasks[:index + 1])
-    values: dict[str, Fraction] = {}
-    if jittered:
-        values["fixed-point-jitter"] = wcrt_fixed_point_jitter(ts, index).wcrt
-        if index > 0:
-            feas = solve_feasibility(ts, index)
-            if feas.is_feasible:
-                values["virtual-jitter"] = wcrt_virtual_jitter(
-                    ts, index, feas).wcrt
-            if check_restricted_jitter(ts, index):
-                result, _ = wcrt_uniform_jitter(ts, index,
-                                                _shared_jitter(ts, index))
-                values["uniform-jitter"] = result.wcrt
-    else:
-        result, _ = wcrt_harmonic(ts, index)
-        values["harmonic"] = result.wcrt
-        values["fixed-point"] = wcrt_fixed_point(ts, index).wcrt
-        values["exclusion"] = wcrt_exclusion_model(ts, index).wcrt
+    values = method_values(ts, index, jittered)
     if primary_wcrt is not None:
         values[primary] = primary_wcrt
     if len(set(values.values())) > 1:
@@ -385,6 +364,13 @@ def _csv(metadata: dict, header: str, lines: list[str]) -> str:
 
 def cmd_experiment(args) -> int:
     """Run one named experiment for the parsed flags and emit its CSV."""
+    if args.sets is not None and args.sets < 1:
+        raise CliError("--sets must be >= 1")
+    least_n = 2 if args.name == "oracle-cross-check" else 1
+    if args.n is not None and args.n < least_n:
+        raise CliError(f"--n must be >= {least_n} for {args.name}")
+    if args.jobs < 1:
+        raise CliError("--jobs must be >= 1")
     if args.name == "heuristic-quality":
         hp_count = args.n if args.n is not None else 14
         sets = args.sets if args.sets is not None else 50000

@@ -11,12 +11,19 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 
-from .feasibility import solve_feasibility, solve_feasibility_arrays
+from .feasibility import (
+    solve_feasibility,
+    solve_feasibility_arrays,
+    wcrt_virtual_jitter,
+)
 from .generator import (
     _TWO53,
+    SAMPLING_ATTEMPTS,
     GenConfig,
     Rng,
+    SamplingFailed,
     gen_constrained_jitters,
     gen_harmonic_periods,
     gen_unconstrained_jitters_raw,
@@ -25,15 +32,15 @@ from .generator import (
 )
 from .harmonic import (
     check_restricted_jitter,
+    shared_jitter,
     wcrt_exclusion_model,
     wcrt_harmonic,
     wcrt_jitter_bounds,
     wcrt_uniform_jitter,
 )
-from .model import TaskSet, pi_order, scaled
+from .model import TaskSet, scaled
 from .rta import wcrt_fixed_point, wcrt_fixed_point_jitter
 from .simulator import SimConfig, simulate
-from .feasibility import wcrt_virtual_jitter
 
 CHUNK_SIZE = 1000
 
@@ -107,6 +114,18 @@ def _map_chunks(worker, args_list, jobs: int) -> list:
         return list(pool.map(worker, *zip(*args_list)))
 
 
+def _grid_sums(worker, points, sets_per_point: int, fixed: tuple,
+               seed: int, jobs: int) -> list[int]:
+    """Per-point sums of worker(seed + g, count, *fixed, point) over the
+    point's chunks, g numbering the chunks across the whole grid."""
+    counts = _chunk_counts(sets_per_point)
+    args_list = [(seed + g, count, *fixed, point)
+                 for g, (point, count) in enumerate(product(points, counts))]
+    results = _map_chunks(worker, args_list, jobs)
+    k = len(counts)
+    return [sum(results[p * k:(p + 1) * k]) for p in range(len(points))]
+
+
 def _count_misclassified(seed: int, count: int, hp_count: int, utilization: Fraction) -> int:
     """Feasible-by-construction sets the staged solver rejects anyway."""
     rng = Rng(seed)
@@ -142,19 +161,10 @@ def heuristic_quality(
     solver's window heuristic.
     """
     points = tuple(grid) if grid is not None else default_utilization_grid()
-    counts = _chunk_counts(sets_per_point)
-    args_list = []
-    g = 0
-    for u in points:
-        for count in counts:
-            args_list.append((seed + g, count, hp_count, u))
-            g += 1
-    results = _map_chunks(_count_misclassified, args_list, jobs)
-    rows = []
-    for p, u in enumerate(points):
-        misclassified = sum(results[p * len(counts):(p + 1) * len(counts)])
-        rows.append(HeuristicQualityRow(utilization=u, sets=sets_per_point, misclassified=misclassified))
-    return rows
+    sums = _grid_sums(_count_misclassified, points, sets_per_point,
+                      (hp_count,), seed, jobs)
+    return [HeuristicQualityRow(u, sets_per_point, misclassified)
+            for u, misclassified in zip(points, sums)]
 
 
 def _count_feasible(
@@ -194,19 +204,10 @@ def feasibility_sweep(
 ) -> list[FeasibilitySweepRow]:
     """Fraction of feasible sets under jitters drawn from [0, alpha*T)."""
     points = tuple(alphas) if alphas is not None else default_alpha_grid()
-    counts = _chunk_counts(sets_per_alpha)
-    args_list = []
-    g = 0
-    for alpha in points:
-        for count in counts:
-            args_list.append((seed + g, count, task_count, total_utilization, alpha))
-            g += 1
-    results = _map_chunks(_count_feasible, args_list, jobs)
-    rows = []
-    for p, alpha in enumerate(points):
-        feasible = sum(results[p * len(counts):(p + 1) * len(counts)])
-        rows.append(FeasibilitySweepRow(alpha=alpha, sets=sets_per_alpha, feasible=feasible))
-    return rows
+    sums = _grid_sums(_count_feasible, points, sets_per_alpha,
+                      (task_count, total_utilization), seed, jobs)
+    return [FeasibilitySweepRow(alpha, sets_per_alpha, feasible)
+            for alpha, feasible in zip(points, sums)]
 
 
 def random_analysis_set(
@@ -243,82 +244,77 @@ def first_job_sim_horizon(ts: TaskSet, response: Fraction) -> int:
     return max(longest, int(response) + 2)
 
 
-def _draw_capped_set(rng: Rng, want_horizon: bool, sim_job_cap: int | None, knobs: dict):
-    """Draw a set, redrawing while its simulation cost exceeds the cap.
+def method_values(ts: TaskSet, index: int, jittered: bool) -> dict:
+    """The WCRT of every exact method that applies to one target, by name.
 
-    Returns (task_set, analytic response, horizon or None, redraw count).
-    The analytic response is the staged iteration's value and is only
-    computed for jitter-free sets; jittered draws are never simulated.
+    Jitter-free targets: the staged iteration, the classic fixed point and
+    the exclusion model.  Jittered targets: the jitter-aware fixed point,
+    then, if the target has higher-priority tasks, the virtual-jitter WCRT
+    when the shift system is feasible and the uniform-jitter WCRT at the
+    shared jitter when the restricted condition holds.  All values must be
+    equal; ``analyze --cross-validate`` and ``oracle-cross-check`` both
+    check this set.
     """
-    redraws = 0
-    while True:
-        ts = random_analysis_set(rng, **knobs)
-        target = len(ts) - 1
-        if knobs.get("jitter_mode", "none") != "none":
-            return ts, None, None, redraws
-        result, _ = wcrt_harmonic(ts, target)
-        if not want_horizon:
-            return ts, result.wcrt, None, redraws
-        horizon = first_job_sim_horizon(ts, result.wcrt)
-        if sim_job_cap is None or simulation_job_count(ts, horizon) <= sim_job_cap:
-            return ts, result.wcrt, horizon, redraws
-        redraws += 1
-
-
-def _cross_check_plain(ts: TaskSet, response: Fraction, horizon: int | None) -> tuple[tuple[str, ...], bool]:
-    target = len(ts) - 1
-    values = {
-        "harmonic": response,
-        "fixed-point": wcrt_fixed_point(ts, target).wcrt,
-        "exclusion": wcrt_exclusion_model(ts, target).wcrt,
-    }
-    if horizon is not None:
-        trace = simulate(ts, SimConfig(horizon=horizon))
-        values["simulate"] = trace.first_response(ts[target].id)
-    agree = len(set(values.values())) == 1
-    return tuple(values), agree
-
-
-def _cross_check_jittered(ts: TaskSet) -> tuple[tuple[str, ...], Fraction, bool]:
-    target = len(ts) - 1
-    reference = wcrt_fixed_point_jitter(ts, target).wcrt
-    methods = ["fixed-point-jitter"]
-    agree = True
-    feas = solve_feasibility(ts, target)
-    if feas.is_feasible:
-        methods.append("virtual-jitter")
-        agree = agree and wcrt_virtual_jitter(ts, target, feas).wcrt == reference
-    if check_restricted_jitter(ts, target):
-        methods.append("uniform-jitter")
-        order = pi_order(ts, target).order
-        shared = ts[order[-1]].jitter if order else 0
-        agree = agree and wcrt_uniform_jitter(ts, target, shared)[0].wcrt == reference
-    low, high = wcrt_jitter_bounds(ts, target)
-    methods.append("jitter-bounds")
-    agree = agree and low <= reference <= high
-    return tuple(methods), reference, agree
+    if not jittered:
+        return {
+            "harmonic": wcrt_harmonic(ts, index)[0].wcrt,
+            "fixed-point": wcrt_fixed_point(ts, index).wcrt,
+            "exclusion": wcrt_exclusion_model(ts, index).wcrt,
+        }
+    values = {"fixed-point-jitter": wcrt_fixed_point_jitter(ts, index).wcrt}
+    if index > 0:
+        feas = solve_feasibility(ts, index)
+        if feas.is_feasible:
+            values["virtual-jitter"] = wcrt_virtual_jitter(ts, index,
+                                                           feas).wcrt
+        if check_restricted_jitter(ts, index):
+            values["uniform-jitter"] = wcrt_uniform_jitter(
+                ts, index, shared_jitter(ts, index))[0].wcrt
+    return values
 
 
 def _cross_check_chunk(
     seed: int,
     count: int,
     start_index: int,
+    max_tasks: int,
     jittered: bool,
     with_simulation: bool,
     sim_job_cap: int | None,
-    knobs: dict,
 ) -> list[CrossCheckRow]:
     rng = Rng(seed)
+    jitter_mode = "constrained" if jittered else "none"
     want_horizon = with_simulation and not jittered
     rows = []
-    for offset in range(count):
-        ts, response, horizon, _ = _draw_capped_set(rng, want_horizon, sim_job_cap, knobs)
-        if jittered:
-            methods, value, agree = _cross_check_jittered(ts)
-            rows.append(CrossCheckRow(start_index + offset, len(ts), value, methods, agree))
+    for set_index in range(start_index, start_index + count):
+        # Redraw while the set's simulation would schedule too many jobs.
+        for _ in range(SAMPLING_ATTEMPTS):
+            ts = random_analysis_set(rng, max_tasks=max_tasks,
+                                     jitter_mode=jitter_mode)
+            target = len(ts) - 1
+            values = method_values(ts, target, jittered)
+            if not want_horizon:
+                break
+            horizon = first_job_sim_horizon(ts, values["harmonic"])
+            if (sim_job_cap is None
+                    or simulation_job_count(ts, horizon) <= sim_job_cap):
+                break
         else:
-            methods, agree = _cross_check_plain(ts, response, horizon)
-            rows.append(CrossCheckRow(start_index + offset, len(ts), response, methods, agree))
+            raise SamplingFailed(
+                f"no set within the simulation job cap {sim_job_cap} in "
+                f"{SAMPLING_ATTEMPTS} attempts")
+        if want_horizon:
+            trace = simulate(ts, SimConfig(horizon=horizon))
+            values["simulate"] = trace.first_response(ts[target].id)
+        methods = tuple(values)
+        # The staged or the jitter-aware fixed-point value.
+        wcrt = values[methods[0]]
+        agree = len(set(values.values())) == 1
+        if jittered:
+            low, high = wcrt_jitter_bounds(ts, target)
+            agree = agree and low <= wcrt <= high
+            methods += ("jitter-bounds",)
+        rows.append(CrossCheckRow(set_index, len(ts), wcrt, methods, agree))
     return rows
 
 
@@ -334,24 +330,16 @@ def oracle_cross_check(
 ) -> list[CrossCheckRow]:
     """Compare every applicable analysis method on random sets.
 
-    Jitter-free sets are checked for exact agreement between the staged
-    iteration, classic fixed-point iteration, the exclusion model, and a
-    discrete-event simulation of the synchronous release.  Jittered sets
-    (constraint-satisfying by construction) are checked against the
-    jitter-aware fixed point.
+    Each set's target is checked for exact agreement of its
+    `method_values`, plus, for jitter-free sets, a simulation of the
+    synchronous release (sets whose simulation would schedule more than
+    `sim_job_cap` jobs are redrawn; SamplingFailed after
+    SAMPLING_ATTEMPTS draws in a row), or, for jittered sets
+    (constraint-satisfying by construction), the jitter bounds bracketing
+    the jitter-aware fixed point.
     """
-    knobs = {
-        "max_tasks": max_tasks,
-        "jitter_mode": "constrained" if jittered else "none",
-    }
-    counts = _chunk_counts(sets)
-    args_list = []
-    start = 0
-    for g, count in enumerate(counts):
-        args_list.append((seed + g, count, start, jittered, with_simulation, sim_job_cap, knobs))
-        start += count
+    args_list = [(seed + g, count, g * CHUNK_SIZE, max_tasks, jittered,
+                  with_simulation, sim_job_cap)
+                 for g, count in enumerate(_chunk_counts(sets))]
     results = _map_chunks(_cross_check_chunk, args_list, jobs)
-    rows: list[CrossCheckRow] = []
-    for chunk_rows in results:
-        rows.extend(chunk_rows)
-    return rows
+    return [row for chunk_rows in results for row in chunk_rows]

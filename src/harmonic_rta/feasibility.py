@@ -354,6 +354,5 @@ def wcrt_virtual_jitter(ts: TaskSet, target_index: int,
     const = view.target_wcet - sum(mi * c for mi, c in zip(fr.m, view.wcets))
     stages, ceils, _ = _staged_fixed_point(
         view, const, view.scaled(fr.virtual_jitter_max))
-    value = stages[-1]
-    margin = target.deadline - target.jitter - value
-    return RtaResult(value, ceils, stages, margin >= 0, margin)
+    return RtaResult.within(target.deadline - target.jitter, stages[-1],
+                            ceils, stages)

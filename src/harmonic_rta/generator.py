@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Task, TaskSet, validate
+from .model import Task, TaskSet, _suffix_sums, validate
 
 _MASK64 = (1 << 64) - 1
 _TWO53 = 1 << 53
@@ -29,6 +29,11 @@ _TWO53 = 1 << 53
 JITTER_NONE = "none"
 JITTER_UNCONSTRAINED = "unconstrained"
 JITTER_CONSTRAINED = "constrained"
+
+
+# Draws a sampler makes before it gives up with SamplingFailed.
+SAMPLING_ATTEMPTS = 1000
+_GAVE_UP = f"could not sample a valid set in {SAMPLING_ATTEMPTS} attempts"
 
 
 class SamplingFailed(RuntimeError):
@@ -109,6 +114,8 @@ class GenConfig:
             raise ValueError("total utilization must be in (0, 1)")
         if self.task_count < 1:
             raise ValueError("need at least one task")
+        if self.base_period < 1:
+            raise ValueError("base period must be >= 1")
         if self.factor_range[0] < 1 or self.factor_range[1] < self.factor_range[0]:
             raise ValueError(f"bad factor range {self.factor_range}")
         if self.jitter_mode not in (JITTER_NONE, JITTER_UNCONSTRAINED,
@@ -171,9 +178,7 @@ def gen_constrained_jitters(periods, wcets, rng: Rng) -> list[int]:
     j_first = rng.randint(0, periods[0] - 1)
     if k == 1:
         return [j_first]
-    suffix = [0] * k
-    for s in range(k - 2, -1, -1):
-        suffix[s] = suffix[s + 1] + wcets[s + 1]
+    suffix = _suffix_sums(wcets)
     shifted_first = periods[0] + j_first
     shifted_last = rng.randint(shifted_first,
                                shifted_first + math.floor(suffix[0]))
@@ -237,7 +242,7 @@ def generate_interference_set(config: GenConfig, rng: Rng | None = None
     """
     rng = Rng(config.seed) if rng is None else rng
     n = config.task_count
-    for _ in range(1000):
+    for _ in range(SAMPLING_ATTEMPTS):
         periods_up = gen_harmonic_periods(n, config, rng)
         utils_up = uunifast(n, config.total_utilization, rng)
         periods = periods_up[::-1]
@@ -257,7 +262,7 @@ def generate_interference_set(config: GenConfig, rng: Rng | None = None
         tasks = [Task(period=t, wcet=c, deadline=t, jitter=j, priority=p + 1)
                  for p, (t, c, j) in enumerate(zip(periods, wcets, jitters))]
         return validate(tasks, relaxed=not config.integer_wcets)
-    raise SamplingFailed("could not sample a valid set in 1000 attempts")
+    raise SamplingFailed(_GAVE_UP)
 
 
 def generate_with_target(config: GenConfig, rng: Rng | None = None) -> TaskSet:
@@ -271,7 +276,7 @@ def generate_with_target(config: GenConfig, rng: Rng | None = None) -> TaskSet:
     """
     rng = Rng(config.seed) if rng is None else rng
     lo, hi = config.factor_range
-    for _ in range(1000):
+    for _ in range(SAMPLING_ATTEMPTS):
         hp = generate_interference_set(config, rng)
         t_max = max(t.period for t in hp)
         period = t_max * rng.randint(lo, hi)
@@ -290,4 +295,4 @@ def generate_with_target(config: GenConfig, rng: Rng | None = None) -> TaskSet:
                             relaxed=not config.integer_wcets)
         except ValueError:
             continue
-    raise SamplingFailed("could not sample a valid set in 1000 attempts")
+    raise SamplingFailed(_GAVE_UP)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .model import OrderedView, TaskSet, ordered_view
-from .rta import NonConvergent, RtaResult
+from .rta import NonConvergent, RtaResult, _iterate
 
 
 class JitterPresent(ValueError):
@@ -96,11 +96,8 @@ def _staged_result(ts: TaskSet, target_index: int, jitter,
     view.require_harmonic()
     stages, ceils, stopped = _staged_fixed_point(
         view, view.target_wcet, view.scaled(jitter), early_stop=early_stop)
-    value = stages[-1]
-    slack = target.deadline - value
-    if jitter_aware:
-        slack -= target.jitter
-    result = RtaResult(value, ceils, stages, slack >= 0, slack)
+    budget = target.deadline - (target.jitter if jitter_aware else 0)
+    result = RtaResult.within(budget, stages[-1], ceils, stages)
     return result, HarmonicIterationTrace(stages, ceils, stopped)
 
 
@@ -191,34 +188,25 @@ def wcrt_with_delays(ts: TaskSet, target_index: int, delta) -> RtaResult:
 
 def _shifted_fixed_point(target, view: OrderedView, shifts) -> RtaResult:
     view.require_harmonic()
-    if view.total_unum >= view.lcm:
-        raise NonConvergent(
-            f"higher-priority utilization {view.utilization} >= 1: "
-            f"no fixed point")
-
     # Kleene iteration from C_n.  Each suffix wcet sum is < the period at its
     # position (utilization < 1 on dividing periods), so shifted arguments
     # stay above -period and every ceiling term is >= 0: iterates are
     # monotone and converge to the least fixed point from below.
-    terms = tuple(zip(view.periods, view.wcets, shifts))
-    wcet = view.target_wcet
-    value = wcet
-    trace = [target.wcet]
-    iterations = 0
-    while True:
-        total = wcet
-        for period, task_wcet, shift in terms:
-            total += task_wcet * -((shift - value) // period)
-        trace.append(view.unscaled(total))
-        iterations += 1
-        if total == value:
-            break
-        if iterations >= 10 ** 6:
-            raise NonConvergent(f"no fixed point after {iterations} steps")
-        value = total
-    wcrt = trace[-2]
-    margin = target.deadline - wcrt
-    return RtaResult(wcrt, iterations, tuple(trace), margin >= 0, margin)
+    return RtaResult.within(target.deadline,
+                            *_iterate(view, shifts, target.wcet))
+
+
+def shared_jitter(ts: TaskSet, target_index: int):
+    """J_last: the jitter of the target's last pi-order task, else 0.
+
+    The last task of the default order (non-increasing period, period ties
+    by non-decreasing jitter, then priority) is the largest-jitter one among
+    the smallest-period higher-priority tasks.  It is the uniform jitter
+    check_restricted_jitter is stated for; 0 when the target has no
+    higher-priority task.
+    """
+    order = ordered_view(ts, target_index).order
+    return ts[order[-1]].jitter if order else 0
 
 
 def check_restricted_jitter(ts: TaskSet, target_index: int) -> bool:
@@ -226,7 +214,7 @@ def check_restricted_jitter(ts: TaskSet, target_index: int) -> bool:
 
     True iff every higher-priority jitter J_pi(k) satisfies
     max(0, J_last - suffix_wcet_after(k)) <= J_pi(k) <= J_last, where J_last
-    is the jitter of the last pi-order task.  When true,
+    is shared_jitter(ts, target_index).  When true,
     wcrt_uniform_jitter(ts, target, J_last) equals the exact per-task-jitter
     WCRT.  The condition is sufficient, not necessary.
     """

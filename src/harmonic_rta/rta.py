@@ -1,6 +1,7 @@
 """Classic fixed-point response-time analysis: the ground-truth oracle.
 
 Iterates the processor-demand recurrence t <- C_n + sum_i C_i*ceil((t+J_i)/T_i)
+(or its shifted form with offsets O_i subtracted instead of jitters added)
 over the target's higher-priority tasks until the least fixed point is
 reached.  Works for any constrained-deadline set whose higher-priority
 utilization is below 1; harmonicity is not required, which is what makes
@@ -12,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .model import OrderedView, TaskSet, ordered_view
 
@@ -42,13 +44,21 @@ class RtaResult:
     schedulable: bool
     margin: Fraction | int
 
+    @classmethod
+    def within(cls, budget, wcrt, iterations: int, trace: tuple) -> RtaResult:
+        """The result whose margin is budget - wcrt (budget D or D - J)."""
+        margin = budget - wcrt
+        return cls(wcrt, iterations, trace, margin >= 0, margin)
 
-def _iterate(view: OrderedView, jitters, start) -> tuple:
-    """Least fixed point of t = C_n + sum C_i*ceil((t + J_i)/T_i).
 
-    Iterates in view units and returns (wcrt, iterations, trace) in task
-    time units; the trace starts at `start`, by default the exact rational
-    weighted start.
+def _iterate(view: OrderedView, offsets, start) -> tuple:
+    """Least fixed point of t = C_n + sum C_i*ceil((t - O_i)/T_i).
+
+    `offsets` O_i are subtracted, in view units: zeros for the classic
+    recurrence, negated jitters for the jitter-aware one, demand shifts
+    for the shifted models.  Iterates in view units and returns (wcrt,
+    iterations, trace) in task time units; the trace starts at `start`,
+    by default the exact rational weighted start.
     """
     lcm, total = view.lcm, view.total_unum
     if total >= lcm:
@@ -58,36 +68,44 @@ def _iterate(view: OrderedView, jitters, start) -> tuple:
     scale = view.scale
     wcet = view.target_wcet
     spare = lcm - total
-    lift = sum(u * j for u, j in zip(view.unum, jitters))
-    if start is None:
-        # Weighted start (C_n + sum U_i*J_i)/(1 - U_hp): a provable lower
+    given = start is not None
+    if not given:
+        # Weighted start (C_n - sum U_i*O_i)/(1 - U_hp): a provable lower
         # bound on the least fixed point (the demand dominates the line
-        # C_n + U_hp*t + sum U_i*J_i pointwise), so iteration from it is safe.
-        start = Fraction(wcet * lcm + lift, spare * scale)
+        # C_n + U_hp*t - sum U_i*O_i pointwise), so iteration from it is
+        # safe.
+        start = Fraction(wcet * lcm - sum(map(mul, view.unum, offsets)),
+                         spare * scale)
         if start.denominator == 1:
             start = int(start)
     num, den = start.numerator * scale, start.denominator
 
-    # Unreachable for admissible inputs; guards relaxed-mode misuse.
-    value_cap = -(-((wcet + sum(view.wcets)) * lcm + lift) // (spare * scale))
-    limit = value_cap * scale
-
-    terms = tuple(zip(view.periods, view.wcets, jitters))
+    terms = tuple(zip(view.periods, view.wcets, offsets))
     # The start may be rational:
-    # ceil((num/den + J)/T) = ceil((num + J*den)/(T*den)).
+    # ceil((num/den - O)/T) = ceil((num - O*den)/(T*den)).
     nxt = wcet
-    for period, task_wcet, j in terms:
-        nxt += task_wcet * -((-num - j * den) // (period * den))
+    for period, task_wcet, offset in terms:
+        nxt += task_wcet * -((offset * den - num) // (period * den))
+    if given and num > wcet * den:
+        # Every fixed point t has t*(1 - U_hp) < C_n + sum C_i - sum U_i*O_i.
+        # From C_n or below, or the weighted start, the iterates rise to the
+        # least fixed point and stay under that bound; from a larger given
+        # start no later iterate exceeds both the bound and the first one,
+        # so the first is the only one to check.
+        bound = ((wcet + sum(view.wcets)) * lcm
+                 - sum(map(mul, view.unum, offsets)))
+        value_cap = -(-bound // (spare * scale))
+        if nxt > value_cap * scale:
+            raise NonConvergent(f"no fixed point below {value_cap}")
     values = [nxt]
     converged = nxt * den == num
     while not converged:
-        if nxt > limit or len(values) >= MAX_ITERATIONS:
-            raise NonConvergent(f"no fixed point below {value_cap} after "
-                                f"{len(values)} steps")
+        if len(values) >= MAX_ITERATIONS:
+            raise NonConvergent(f"no fixed point after {len(values)} steps")
         cur = nxt
         nxt = wcet
-        for period, task_wcet, j in terms:
-            nxt += task_wcet * -((-cur - j) // period)
+        for period, task_wcet, offset in terms:
+            nxt += task_wcet * -((offset - cur) // period)
         values.append(nxt)
         converged = nxt == cur
     trace = (start, *map(view.unscaled, values))
@@ -102,10 +120,8 @@ def wcrt_fixed_point(ts: TaskSet, target_index: int, start=None) -> RtaResult:
     wcrt <= deadline.
     """
     view = ordered_view(ts, target_index)
-    zeros = (0,) * len(view.order)
-    wcrt, iterations, trace = _iterate(view, zeros, start)
-    margin = ts[target_index].deadline - wcrt
-    return RtaResult(wcrt, iterations, trace, margin >= 0, margin)
+    return RtaResult.within(ts[target_index].deadline,
+                            *_iterate(view, (0,) * len(view.order), start))
 
 
 def wcrt_fixed_point_jitter(ts: TaskSet, target_index: int, start=None) -> RtaResult:
@@ -117,9 +133,8 @@ def wcrt_fixed_point_jitter(ts: TaskSet, target_index: int, start=None) -> RtaRe
     """
     target = ts[target_index]
     view = ordered_view(ts, target_index)
-    wcrt, iterations, trace = _iterate(view, view.jitters, start)
-    margin = target.deadline - target.jitter - wcrt
-    return RtaResult(wcrt, iterations, trace, margin >= 0, margin)
+    return RtaResult.within(target.deadline - target.jitter, *_iterate(
+        view, tuple([-j for j in view.jitters]), start))
 
 
 def nested_ceil(x, z):

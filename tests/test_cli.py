@@ -2,12 +2,19 @@
 
 import builtins
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
+import harmonic_rta
 import harmonic_rta.cli as cli
+import harmonic_rta.experiments as experiments
 from harmonic_rta import (
     CliError,
     HorizonTooShort,
@@ -220,7 +227,7 @@ def test_cross_validate_detects_mismatch(tmp_path, table1, capsys,
         tmp_path / "zeroed.json",
         mk([(t.period, t.wcet, 0, t.deadline) for t in table1]))
     monkeypatch.setattr(
-        cli, "wcrt_exclusion_model",
+        experiments, "wcrt_exclusion_model",
         lambda ts, i: SimpleNamespace(wcrt=Fraction(9999)))
     rc, _, err = run_cli(["analyze", "--input", zeroed, "--method",
                           "harmonic", "--cross-validate"], capsys)
@@ -330,6 +337,56 @@ def test_generate_flag_validation(capsys):
         rc, _, err = run_cli(argv, capsys)
         assert rc == 2
         assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["experiment", "feasibility-sweep", "--sets", "-3"],
+     "--sets must be >= 1"),
+    (["experiment", "heuristic-quality", "--sets", "0"],
+     "--sets must be >= 1"),
+    (["experiment", "heuristic-quality", "--jobs", "-4"],
+     "--jobs must be >= 1"),
+    (["experiment", "oracle-cross-check", "--n", "1"],
+     "--n must be >= 2 for oracle-cross-check"),
+    (["generate", "--n", "3", "--base-period", "0"],
+     "base period must be >= 1"),
+])
+def test_bad_counts_exit_two_with_one_line(argv, message, capsys):
+    rc, out, err = run_cli(argv, capsys)
+    assert (rc, out) == (2, "")
+    assert err == f"error: {message}\n"
+
+
+def test_unreachable_job_cap_exits_two_with_one_line(capsys):
+    # Every set schedules at least two jobs, so no draw fits the cap.
+    rc, out, err = run_cli(["experiment", "oracle-cross-check", "--sets", "1",
+                            "--sim-job-cap", "1"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == ("error: no set within the simulation job cap 1 in 1000 "
+                   "attempts\n")
+
+
+def test_flag_and_sampling_errors_exit_two_under_optimize():
+    # python -O strips asserts; the flag checks and the redraw budget must
+    # not rest on them.
+    script = textwrap.dedent("""
+        import sys
+        from harmonic_rta import main
+        codes = [main(["experiment", "feasibility-sweep", "--sets", "-3"]),
+                 main(["experiment", "oracle-cross-check", "--sets", "1",
+                       "--sim-job-cap", "1"])]
+        sys.exit(0 if codes == [2, 2] else 1)
+    """)
+    src = str(Path(harmonic_rta.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: --sets must be >= 1",
+        "error: no set within the simulation job cap 1 in 1000 attempts"]
 
 
 def test_generate_with_target(tmp_path, capsys):

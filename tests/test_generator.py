@@ -228,3 +228,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GenConfig(task_count=2, total_utilization=Fraction(1, 2),
                   alpha=Fraction(2))
+    with pytest.raises(ValueError):
+        GenConfig(task_count=2, total_utilization=Fraction(1, 2),
+                  base_period=0)
