@@ -364,6 +364,15 @@ def _csv(metadata: dict, header: str, lines: list[str]) -> str:
 
 def cmd_experiment(args) -> int:
     """Run one named experiment for the parsed flags and emit its CSV."""
+    if args.name == "oracle-cross-check":
+        given = {"--utilization": args.utilization is not None}
+    else:
+        given = {"--jitter-mode": args.jitter_mode is not None,
+                 "--no-simulation": args.no_simulation,
+                 "--sim-job-cap": args.sim_job_cap is not None}
+    for flag, present in given.items():
+        if present:
+            raise CliError(f"{flag} does not apply to {args.name}")
     if args.sets is not None and args.sets < 1:
         raise CliError("--sets must be >= 1")
     least_n = 2 if args.name == "oracle-cross-check" else 1
@@ -403,15 +412,17 @@ def cmd_experiment(args) -> int:
     # oracle-cross-check
     max_tasks = args.n if args.n is not None else 12
     sets = args.sets if args.sets is not None else 1000
-    jittered = args.jitter_mode == "constrained"
+    jitter_mode = args.jitter_mode or "none"
+    sim_job_cap = (args.sim_job_cap if args.sim_job_cap is not None
+                   else DEFAULT_SIM_JOB_CAP)
     rows = oracle_cross_check(sets=sets, max_tasks=max_tasks,
-                              jittered=jittered,
+                              jittered=jitter_mode == "constrained",
                               with_simulation=not args.no_simulation,
-                              sim_job_cap=args.sim_job_cap,
+                              sim_job_cap=sim_job_cap,
                               seed=args.seed, jobs=args.jobs)
     disagreements = sum(1 for r in rows if not r.agree)
     meta = _experiment_metadata(args, sets=sets, max_tasks=max_tasks,
-                                jitter_mode=args.jitter_mode,
+                                jitter_mode=jitter_mode,
                                 disagreements=disagreements)
     lines = [f"{r.set_index},{r.task_count},{r.wcrt.numerator},"
              f"{r.wcrt.denominator},{'+'.join(r.methods)},"
@@ -478,13 +489,13 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--utilization", type=Fraction,
                      help="single grid point (heuristic-quality) or total "
                           "utilization (feasibility-sweep)")
-    exp.add_argument("--jitter-mode", default="none",
-                     choices=("none", "constrained"),
-                     help="oracle-cross-check corpus type")
+    exp.add_argument("--jitter-mode", choices=("none", "constrained"),
+                     help="oracle-cross-check corpus type (default none)")
     exp.add_argument("--no-simulation", action="store_true",
                      help="skip the simulation oracle in oracle-cross-check")
-    exp.add_argument("--sim-job-cap", type=int, default=DEFAULT_SIM_JOB_CAP,
-                     help="redraw sets whose simulation schedules more jobs")
+    exp.add_argument("--sim-job-cap", type=int,
+                     help="redraw oracle-cross-check sets whose simulation "
+                          f"schedules more jobs (default {DEFAULT_SIM_JOB_CAP})")
     exp.add_argument("--seed", type=int, default=0)
     exp.add_argument("--jobs", type=int, default=1)
     exp.add_argument("--output")

@@ -24,11 +24,11 @@ from .generator import (
     GenConfig,
     Rng,
     SamplingFailed,
-    gen_constrained_jitters,
+    _constrained_jitters,
+    _raw_jitter_numerators,
+    _uunifast_numerators,
     gen_harmonic_periods,
-    gen_unconstrained_jitters_raw,
     generate_with_target,
-    uunifast,
 )
 from .harmonic import (
     check_restricted_jitter,
@@ -38,7 +38,7 @@ from .harmonic import (
     wcrt_jitter_bounds,
     wcrt_uniform_jitter,
 )
-from .model import TaskSet, scaled
+from .model import TaskSet
 from .rta import wcrt_fixed_point, wcrt_fixed_point_jitter
 from .simulator import SimConfig, simulate
 
@@ -130,17 +130,17 @@ def _count_misclassified(seed: int, count: int, hp_count: int, utilization: Frac
     """Feasible-by-construction sets the staged solver rejects anyway."""
     rng = Rng(seed)
     config = GenConfig(task_count=hp_count, total_utilization=utilization)
-    # Every wcet's denominator divides this; times scaled by it are ints.
-    scale = config.total_utilization.denominator * _TWO53
+    total = config.total_utilization
+    # Times in units of 1/scale, the utilization grid: every wcet is an int.
+    scale = total.denominator * _TWO53
     misclassified = 0
     for _ in range(count):
         periods = gen_harmonic_periods(hp_count, config, rng)[::-1]
-        utils = uunifast(hp_count, utilization, rng)[::-1]
-        wcets = [t * u for t, u in zip(periods, utils)]
-        jitters = gen_constrained_jitters(periods, wcets, rng)
-        result = solve_feasibility_arrays(scaled(periods, scale),
-                                          scaled(wcets, scale),
-                                          scaled(jitters, scale))
+        unums = _uunifast_numerators(hp_count, total, rng)[::-1]
+        wcets = [t * u for t, u in zip(periods, unums)]
+        jitters = _constrained_jitters(periods, wcets, scale, rng)
+        result = solve_feasibility_arrays([t * scale for t in periods], wcets,
+                                          [j * scale for j in jitters])
         if not result.is_feasible:
             misclassified += 1
     return misclassified
@@ -175,19 +175,21 @@ def _count_feasible(
     alpha: Fraction,
 ) -> int:
     rng = Rng(seed)
-    config = GenConfig(task_count=task_count, total_utilization=utilization)
-    # Every wcet's and raw jitter's denominator divides this; times scaled
-    # by it are ints.
-    scale = (config.total_utilization.denominator
-             * Fraction(alpha).denominator * _TWO53)
+    config = GenConfig(task_count=task_count, total_utilization=utilization,
+                       alpha=alpha)
+    total, alpha = config.total_utilization, config.alpha
+    # Times in units of 1/scale, the utilization grid refined by alpha's
+    # denominator: every wcet and raw jitter is an int there.
+    scale = total.denominator * alpha.denominator * _TWO53
+    jitter_factor = alpha.numerator * total.denominator
     feasible = 0
     for _ in range(count):
         periods = gen_harmonic_periods(task_count, config, rng)[::-1]
-        utils = uunifast(task_count, utilization, rng)[::-1]
-        jitters = gen_unconstrained_jitters_raw(periods, alpha, rng)
-        wcets = [t * u for t, u in zip(periods, scaled(utils, scale))]
-        result = solve_feasibility_arrays(scaled(periods, scale), wcets,
-                                          scaled(jitters, scale))
+        unums = _uunifast_numerators(task_count, total, rng)[::-1]
+        jitters = _raw_jitter_numerators(periods, jitter_factor, rng)
+        wcets = [t * u * alpha.denominator for t, u in zip(periods, unums)]
+        result = solve_feasibility_arrays([t * scale for t in periods], wcets,
+                                          jitters)
         if result.is_feasible:
             feasible += 1
     return feasible

@@ -8,6 +8,9 @@ rational grid: each stick-breaking step runs the classic recurrence in
 floating point, then floor-quantizes onto denominator(U_total) * 2^53, so
 every utilization is an exact rational, the sum telescopes to exactly the
 requested total, and denominators stay small enough for million-set sweeps.
+The experiment kernels and the strict generator draw on the integer
+numerators over that grid (the private `_`-prefixed functions); the public
+functions return the same values as `Fraction`s.
 
 Periods are harmonic chains (each period a small integer multiple of the
 previous), jitters are drawn either unconstrained in [0, alpha*T] or as a
@@ -21,10 +24,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Task, TaskSet, _suffix_sums, validate
+from .model import Task, TaskSet, _suffix_sums, scaled, validate
 
 _MASK64 = (1 << 64) - 1
 _TWO53 = 1 << 53
+_ULP53 = 1.0 / _TWO53  # u * _ULP53 == u / _TWO53 exactly for u < 2^53
 
 JITTER_NONE = "none"
 JITTER_UNCONSTRAINED = "unconstrained"
@@ -40,12 +44,10 @@ class SamplingFailed(RuntimeError):
     """No valid task set was drawn within the generator's attempt budget."""
 
 
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & _MASK64
-
-
 class Rng:
     """xoshiro256** with splitmix64 seeding; 64-bit pure-integer state."""
+
+    __slots__ = ("_s0", "_s1", "_s2", "_s3")
 
     def __init__(self, seed: int):
         state = seed & _MASK64
@@ -56,20 +58,20 @@ class Rng:
             z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
             z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
             s.append(z ^ (z >> 31))
-        self._s = s
+        self._s0, self._s1, self._s2, self._s3 = s
 
     def next_u64(self) -> int:
-        s0, s1, s2, s3 = self._s
-        result = (_rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64
-        t = (s1 << 17) & _MASK64
+        # rotl(x, k) is ((x << k) | (x >> (64 - k))) & _MASK64; the result's
+        # mask is applied once, after the multiplication.
+        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
+        x = (s1 * 5) & _MASK64
         s2 ^= s0
         s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        s3 = _rotl(s3, 45)
-        self._s = [s0, s1, s2, s3]
-        return result
+        self._s0 = s0 ^ s3
+        self._s1 = s1 ^ s2
+        self._s2 = (s2 ^ (s1 << 17)) & _MASK64
+        self._s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
+        return (((x << 7) | (x >> 57)) * 9) & _MASK64
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], rejection-sampled (no modulo bias)."""
@@ -139,18 +141,29 @@ def uunifast(n: int, total_utilization, rng: Rng) -> list[Fraction]:
     if n < 1:
         raise ValueError("need n >= 1")
     denom = total.denominator * _TWO53
+    return [Fraction(x, denom) for x in _uunifast_numerators(n, total, rng)]
+
+
+def _uunifast_numerators(n: int, total: Fraction, rng: Rng) -> list[int]:
+    """uunifast's shares as integer numerators over denominator(total)*2^53."""
     remainder = total.numerator * _TWO53
     out = []
-    for i in range(1, n):
-        slots = n - i
-        u = rng.uniform53() / _TWO53
+    for slots in range(n - 1, 0, -1):
+        u = rng.uniform53() * _ULP53
         x_num = round((u ** (1.0 / slots)) * _TWO53)
-        x_num = min(max(x_num, 1), _TWO53 - 1)
+        # Clamps as ifs: min and max calls cost more than the arithmetic.
+        if x_num < 1:
+            x_num = 1
+        if x_num >= _TWO53:
+            x_num = _TWO53 - 1
         nxt = (remainder * x_num) >> 53
-        nxt = min(max(nxt, slots), remainder - 1)
-        out.append(Fraction(remainder - nxt, denom))
+        if nxt < slots:
+            nxt = slots
+        if nxt >= remainder:
+            nxt = remainder - 1
+        out.append(remainder - nxt)
         remainder = nxt
-    out.append(Fraction(remainder, denom))
+    out.append(remainder)
     return out
 
 
@@ -172,19 +185,26 @@ def gen_constrained_jitters(periods, wcets, rng: Rng) -> list[int]:
     jitters are the shifted ones reduced mod the period, making
     m_i = J'_i div T_i a witness of the full system.
     """
+    denom = math.lcm(*(c.denominator for c in wcets))
+    return _constrained_jitters(periods, scaled(wcets, denom), denom, rng)
+
+
+def _constrained_jitters(periods, wcet_nums, denom: int, rng: Rng
+                         ) -> list[int]:
+    """gen_constrained_jitters for wcets given as numerators over denom."""
     k = len(periods)
     if k == 0:
         return []
     j_first = rng.randint(0, periods[0] - 1)
     if k == 1:
         return [j_first]
-    suffix = _suffix_sums(wcets)
+    suffix = _suffix_sums(wcet_nums)
     shifted_first = periods[0] + j_first
     shifted_last = rng.randint(shifted_first,
-                               shifted_first + math.floor(suffix[0]))
+                               shifted_first + suffix[0] // denom)
     shifted = [shifted_first]
     for s in range(1, k - 1):
-        lo = shifted_last - math.floor(suffix[s])
+        lo = shifted_last - suffix[s] // denom
         shifted.append(rng.randint(lo, shifted_last))
     shifted.append(shifted_last)
     return [sj % t for sj, t in zip(shifted, periods)]
@@ -214,19 +234,29 @@ def gen_unconstrained_jitters_raw(periods, alpha, rng: Rng) -> list[Fraction]:
     alpha = Fraction(alpha)
     if not 0 < alpha <= 1:
         raise ValueError("alpha must be in (0, 1]")
-    return [Fraction(rng.next_u64() >> 11, _TWO53) * (alpha * t)
-            for t in periods]
+    denom = alpha.denominator * _TWO53
+    return [Fraction(j, denom)
+            for j in _raw_jitter_numerators(periods, alpha.numerator, rng)]
 
 
-def _integer_wcets(periods, utils):
+def _raw_jitter_numerators(periods, factor: int, rng: Rng) -> list[int]:
+    """gen_unconstrained_jitters_raw's jitters as integer numerators.
+
+    With factor = numerator(alpha) * k, each value is the jitter in units
+    of 1 / (denominator(alpha) * 2^53 * k).
+    """
+    return [rng.uniform53() * factor * t for t in periods]
+
+
+def _integer_wcets(periods, wcet_nums, denom: int) -> list[int]:
     # Round half up, clamped to [1, T-1] for T >= 2 so one near-saturated
     # task cannot pin utilization at exactly 1; the set-level cap is still
     # re-checked by the caller (rounding can push the sum past 1).
     out = []
-    for t, u in zip(periods, utils):
-        c = (2 * t * u.numerator + u.denominator) // (2 * u.denominator)
+    for t, w in zip(periods, wcet_nums):
+        c = (2 * w + denom) // (2 * denom)
         hi = t - 1 if t > 1 else t
-        out.append(max(1, min(int(c), hi)))
+        out.append(max(1, min(c, hi)))
     return out
 
 
@@ -242,19 +272,25 @@ def generate_interference_set(config: GenConfig, rng: Rng | None = None
     """
     rng = Rng(config.seed) if rng is None else rng
     n = config.task_count
+    total = config.total_utilization
+    denom = total.denominator * _TWO53
     for _ in range(SAMPLING_ATTEMPTS):
-        periods_up = gen_harmonic_periods(n, config, rng)
-        utils_up = uunifast(n, config.total_utilization, rng)
-        periods = periods_up[::-1]
-        utils = utils_up[::-1]
+        periods = gen_harmonic_periods(n, config, rng)[::-1]
+        # Wcets in units of 1/denom, the utilization grid: t * u is an int.
+        wcet_nums = [t * u for t, u in
+                     zip(periods, _uunifast_numerators(n, total, rng)[::-1])]
         if config.integer_wcets:
-            wcets = _integer_wcets(periods, utils)
-            if sum(Fraction(c, t) for c, t in zip(wcets, periods)) >= 1:
+            wcets = _integer_wcets(periods, wcet_nums, denom)
+            # Utilization < 1 over the largest period, which all divide.
+            if sum(c * (periods[0] // t)
+                   for c, t in zip(wcets, periods)) >= periods[0]:
                 continue
+            wcet_nums, unit = wcets, 1
         else:
-            wcets = [t * u for t, u in zip(periods, utils)]
+            wcets = [Fraction(w, denom) for w in wcet_nums]
+            unit = denom
         if config.jitter_mode == JITTER_CONSTRAINED:
-            jitters = gen_constrained_jitters(periods, wcets, rng)
+            jitters = _constrained_jitters(periods, wcet_nums, unit, rng)
         elif config.jitter_mode == JITTER_UNCONSTRAINED:
             jitters = gen_unconstrained_jitters(periods, config.alpha, rng)
         else:

@@ -58,7 +58,8 @@ def _iterate(view: OrderedView, offsets, start) -> tuple:
     recurrence, negated jitters for the jitter-aware one, demand shifts
     for the shifted models.  Iterates in view units and returns (wcrt,
     iterations, trace) in task time units; the trace starts at `start`,
-    by default the exact rational weighted start.
+    by default the exact rational weighted start.  A given start above
+    both C_n and the weighted start raises ValueError.
     """
     lcm, total = view.lcm, view.total_unum
     if total >= lcm:
@@ -67,17 +68,19 @@ def _iterate(view: OrderedView, offsets, start) -> tuple:
             f"no fixed point exists")
     scale = view.scale
     wcet = view.target_wcet
-    spare = lcm - total
-    given = start is not None
-    if not given:
-        # Weighted start (C_n - sum U_i*O_i)/(1 - U_hp): a provable lower
-        # bound on the least fixed point (the demand dominates the line
-        # C_n + U_hp*t - sum U_i*O_i pointwise), so iteration from it is
-        # safe.
-        start = Fraction(wcet * lcm - sum(map(mul, view.unum, offsets)),
-                         spare * scale)
+    if start is None:
+        start = _weighted_start(view, offsets)
         if start.denominator == 1:
             start = int(start)
+    elif start * scale > wcet:
+        # Iterates rise to the least fixed point from any start at or below
+        # the weighted one, or at or below C_n, where the demand is >= C_n
+        # when no offset reaches a period (the shifted models start there).
+        # From a higher start they can stop at a larger fixed point.
+        bound = _weighted_start(view, offsets)
+        if start > bound:
+            raise ValueError(f"start {start} is above the weighted lower "
+                             f"bound {bound} of the least fixed point")
     num, den = start.numerator * scale, start.denominator
 
     terms = tuple(zip(view.periods, view.wcets, offsets))
@@ -86,17 +89,6 @@ def _iterate(view: OrderedView, offsets, start) -> tuple:
     nxt = wcet
     for period, task_wcet, offset in terms:
         nxt += task_wcet * -((offset * den - num) // (period * den))
-    if given and num > wcet * den:
-        # Every fixed point t has t*(1 - U_hp) < C_n + sum C_i - sum U_i*O_i.
-        # From C_n or below, or the weighted start, the iterates rise to the
-        # least fixed point and stay under that bound; from a larger given
-        # start no later iterate exceeds both the bound and the first one,
-        # so the first is the only one to check.
-        bound = ((wcet + sum(view.wcets)) * lcm
-                 - sum(map(mul, view.unum, offsets)))
-        value_cap = -(-bound // (spare * scale))
-        if nxt > value_cap * scale:
-            raise NonConvergent(f"no fixed point below {value_cap}")
     values = [nxt]
     converged = nxt * den == num
     while not converged:
@@ -112,12 +104,24 @@ def _iterate(view: OrderedView, offsets, start) -> tuple:
     return trace[-1], len(values), trace
 
 
+def _weighted_start(view: OrderedView, offsets) -> Fraction:
+    """(C_n - sum U_i*O_i)/(1 - U_hp) in task time units.
+
+    A provable lower bound on the least fixed point: the demand dominates
+    the line C_n + U_hp*t - sum U_i*O_i pointwise, so it is >= t up to
+    there.
+    """
+    lcm = view.lcm
+    return Fraction(view.target_wcet * lcm - sum(map(mul, view.unum, offsets)),
+                    (lcm - view.total_unum) * view.scale)
+
+
 def wcrt_fixed_point(ts: TaskSet, target_index: int, start=None) -> RtaResult:
     """Exact WCRT by the classic recurrence, jitters treated as zero.
 
     Least fixed point of t = C_n + sum_{i<n} C_i*ceil(t/T_i), iterated from
-    C_n/(1 - U_hp) (or from `start` when given).  Schedulable iff
-    wcrt <= deadline.
+    C_n/(1 - U_hp) (or from `start` when given; a start above that lower
+    bound raises ValueError).  Schedulable iff wcrt <= deadline.
     """
     view = ordered_view(ts, target_index)
     return RtaResult.within(ts[target_index].deadline,
@@ -127,9 +131,11 @@ def wcrt_fixed_point(ts: TaskSet, target_index: int, start=None) -> RtaResult:
 def wcrt_fixed_point_jitter(ts: TaskSet, target_index: int, start=None) -> RtaResult:
     """Exact jitter-aware WCRT by the classic recurrence.
 
-    Least fixed point of t = C_n + sum_{i<n} C_i*ceil((t + J_i)/T_i).
-    Schedulable iff wcrt <= deadline - target jitter (the response is
-    measured from release; arrival-to-deadline adds the target's own jitter).
+    Least fixed point of t = C_n + sum_{i<n} C_i*ceil((t + J_i)/T_i),
+    iterated from (C_n + sum U_i*J_i)/(1 - U_hp) (or from `start` when
+    given; a start above that lower bound raises ValueError).  Schedulable
+    iff wcrt <= deadline - target jitter (the response is measured from
+    release; arrival-to-deadline adds the target's own jitter).
     """
     target = ts[target_index]
     view = ordered_view(ts, target_index)

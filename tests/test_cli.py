@@ -357,6 +357,20 @@ def test_bad_counts_exit_two_with_one_line(argv, message, capsys):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["oracle-cross-check", "--utilization", "1/2"], "--utilization"),
+    (["heuristic-quality", "--jitter-mode", "none"], "--jitter-mode"),
+    (["feasibility-sweep", "--jitter-mode", "constrained"], "--jitter-mode"),
+    (["heuristic-quality", "--no-simulation"], "--no-simulation"),
+    (["feasibility-sweep", "--sim-job-cap", "5"], "--sim-job-cap"),
+    (["heuristic-quality", "--sim-job-cap", "20000"], "--sim-job-cap"),
+])
+def test_ignored_experiment_flags_exit_two_with_one_line(argv, flag, capsys):
+    rc, out, err = run_cli(["experiment", *argv, "--sets", "1"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == f"error: {flag} does not apply to {argv[0]}\n"
+
+
 def test_unreachable_job_cap_exits_two_with_one_line(capsys):
     # Every set schedules at least two jobs, so no draw fits the cap.
     rc, out, err = run_cli(["experiment", "oracle-cross-check", "--sets", "1",
@@ -366,10 +380,18 @@ def test_unreachable_job_cap_exits_two_with_one_line(capsys):
                    "attempts\n")
 
 
+def _run_optimized(script):
+    """Run a Python snippet under ``python -O``, which strips asserts."""
+    src = str(Path(harmonic_rta.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(script)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 def test_flag_and_sampling_errors_exit_two_under_optimize():
-    # python -O strips asserts; the flag checks and the redraw budget must
-    # not rest on them.
-    script = textwrap.dedent("""
+    # The flag checks and the redraw budget must not rest on asserts.
+    proc = _run_optimized("""
         import sys
         from harmonic_rta import main
         codes = [main(["experiment", "feasibility-sweep", "--sets", "-3"]),
@@ -377,16 +399,32 @@ def test_flag_and_sampling_errors_exit_two_under_optimize():
                        "--sim-job-cap", "1"])]
         sys.exit(0 if codes == [2, 2] else 1)
     """)
-    src = str(Path(harmonic_rta.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
-                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [
         "error: --sets must be >= 1",
         "error: no set within the simulation job cap 1 in 1000 attempts"]
+
+
+def test_horizon_too_short_exits_two_under_optimize(table1_file):
+    proc = _run_optimized(f"""
+        import sys
+        import harmonic_rta.cli as cli
+        from harmonic_rta import HorizonTooShort, main
+
+        def short(ts, cfg):
+            raise HorizonTooShort(
+                "first job of task t6 unfinished at horizon 360")
+
+        cli.simulate = short
+        code = main(["analyze", "--input", {table1_file!r}, "--method",
+                     "simulate"])
+        sys.exit(0 if code == 2 else 1)
+    """)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "error: first job of task t6 unfinished at horizon 360"]
 
 
 def test_generate_with_target(tmp_path, capsys):

@@ -83,6 +83,17 @@ def test_non_convergent_on_saturated_hp():
         wcrt_fixed_point_jitter(ts, 2)
 
 
+def test_start_above_the_weighted_lower_bound_is_rejected():
+    # WCRT 15 and weighted lower bound C_n/(1 - U_hp) = 5/(1/2) = 10; from
+    # 21 the iteration would stop at the larger fixed point 22.
+    ts = mk([(10, 3, 0), (20, 4, 0), (40, 5, 0)])
+    for fn in (wcrt_fixed_point, wcrt_fixed_point_jitter):
+        for start in (None, 5, 7):
+            assert fn(ts, 2, start=start).wcrt == 15
+        with pytest.raises(ValueError, match="weighted lower bound 10 "):
+            fn(ts, 2, start=21)
+
+
 def test_random_sets_match_brute_scan():
     rng = Rng(101)
     for _ in range(150):
