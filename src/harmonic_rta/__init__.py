@@ -50,7 +50,6 @@ from .harmonic import (
     wcrt_with_delays,
 )
 from .feasibility import (
-    CapTooSmall,
     FeasibilityResult,
     GammaCase,
     IndexOutOfRange,

@@ -102,9 +102,7 @@ class AnalysisReport:
         return all(row.schedulable for row in self.rows)
 
     def to_csv(self) -> str:
-        lines = [f"# {key}={value}" for key, value in self.metadata.items()]
-        lines.append("id,T,C,D,J,method,wcrt_num,wcrt_den,wcrt_decimal,"
-                     "schedulable,steps")
+        lines = []
         for row in self.rows:
             if row.wcrt is None:
                 num = den = dec = ""
@@ -120,7 +118,8 @@ class AnalysisReport:
             lines.append(f"{row.task_id},{row.period},{row.wcet},"
                          f"{row.deadline},{row.jitter},{row.method},"
                          f"{num},{den},{dec},{sched},{steps}")
-        return "\n".join(lines) + "\n"
+        return _csv(self.metadata, "id,T,C,D,J,method,wcrt_num,wcrt_den,"
+                    "wcrt_decimal,schedulable,steps", lines)
 
 
 def _require_jitter_free(ts: TaskSet, target_index: int, method: str) -> None:
@@ -131,39 +130,36 @@ def _require_jitter_free(ts: TaskSet, target_index: int, method: str) -> None:
                 f"{task.id} has jitter {task.jitter}")
 
 
-def _row(task, method, result) -> ReportRow:
+def _row(task, method, wcrt=None, schedulable=None, steps=None) -> ReportRow:
+    """The report row of one task; no wcrt marks an infeasible verdict."""
     return ReportRow(task.id, task.period, int(task.wcet), task.deadline,
-                     task.jitter, method, result.wcrt, result.schedulable,
-                     result.iterations)
+                     task.jitter, method, wcrt, schedulable, steps)
 
 
 def _analyze_one(ts: TaskSet, index: int, method: str) -> ReportRow:
     task = ts[index]
     if method == "harmonic":
         result, _ = wcrt_harmonic(ts, index)
-        return _row(task, method, result)
-    if method == "uniform-jitter":
+    elif method == "uniform-jitter":
         result, _ = wcrt_uniform_jitter(ts, index, shared_jitter(ts, index))
-        return _row(task, method, result)
-    if method == "fixed-point":
+    elif method == "fixed-point":
         _require_jitter_free(ts, index, method)
-        return _row(task, method, wcrt_fixed_point(ts, index))
-    if method == "fixed-point-jitter":
-        return _row(task, method, wcrt_fixed_point_jitter(ts, index))
-    if method == "exclusion":
-        return _row(task, method, wcrt_exclusion_model(ts, index))
-    if method == "virtual-jitter":
-        if index == 0:
-            # No interference to shift; the plain jitter-aware fixed point
-            # is already exact.
-            return _row(task, method, wcrt_fixed_point_jitter(ts, index))
+        result = wcrt_fixed_point(ts, index)
+    elif method == "exclusion":
+        result = wcrt_exclusion_model(ts, index)
+    elif method == "virtual-jitter" and index > 0:
         feas = solve_feasibility(ts, index)
         if not feas.is_feasible:
-            return ReportRow(task.id, task.period, int(task.wcet),
-                             task.deadline, task.jitter, method,
-                             None, None, None)
-        return _row(task, method, wcrt_virtual_jitter(ts, index, feas))
-    raise CliError(f"unknown method {method!r}")
+            return _row(task, method)
+        result = wcrt_virtual_jitter(ts, index, feas)
+    elif method in ("fixed-point-jitter", "virtual-jitter"):
+        # Virtual jitter at index 0 has no interference to shift; the plain
+        # jitter-aware fixed point is already exact.
+        result = wcrt_fixed_point_jitter(ts, index)
+    else:
+        raise CliError(f"unknown method {method!r}")
+    return _row(task, method, result.wcrt, result.schedulable,
+                result.iterations)
 
 
 def _simulate_rows(ts: TaskSet, targets: list[int]) -> list[ReportRow]:
@@ -182,9 +178,7 @@ def _simulate_rows(ts: TaskSet, targets: list[int]) -> list[ReportRow]:
         task = ts[i]
         response = Fraction(trace.first_response(task.id))
         ok = task.jitter + response <= task.deadline
-        rows.append(ReportRow(task.id, task.period, int(task.wcet),
-                              task.deadline, task.jitter, "simulate",
-                              response, ok, len(trace.jobs)))
+        rows.append(_row(task, "simulate", response, ok, len(trace.jobs)))
     return rows
 
 

@@ -27,10 +27,6 @@ FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
 
 
-class CapTooSmall(ValueError):
-    """The brute-force search box provably excludes the solver's witness."""
-
-
 class SolverCheckFailed(ValueError):
     """A solved shift vector failed the check against the full system."""
 
@@ -269,17 +265,17 @@ def brute_force_last_values(periods, wcets, jitters, last_cap: int):
     return values, witnesses
 
 
-def brute_force_feasibility(ts: TaskSet, target_index: int | None = None,
-                            m_cap: int = 4,
-                            solver_result: FeasibilityResult | None = None
+def brute_force_feasibility(ts: TaskSet, target_index: int | None = None
                             ) -> FeasibilityResult:
     """Independent exhaustive check of the shift system.
 
-    Searches m_last up to m_cap * T_first/T_last (covering shift classes a few
-    periods beyond the m_1 = 1 normalization) and reports the first witness.
-    When `solver_result` is supplied and feasible, a brute-force miss outside
-    the searched box raises CapTooSmall instead of returning a false
-    infeasible.
+    With m_1 = 1, J'_max lies in [J_1 + T_1, J_1 + T_1 + suffix_1], so every
+    candidate m_last is in [0, (J_1 + T_1 + suffix_1 - J_last) // T_last]
+    (view units).  The search covers that whole box and reports the first
+    witness.  The first witness, when one exists, lies below 3*T_1/T_last,
+    so a capped box of 4*T_1/T_last never misses it either: the middle
+    tasks' conditions repeat every T_2/T_last in m_last, and the window
+    starts below 2*T_1/T_last.
     """
     view = _feasibility_view(ts, target_index)
     periods, jitters, scale = view.periods, view.jitters, view.scale
@@ -287,15 +283,11 @@ def brute_force_feasibility(ts: TaskSet, target_index: int | None = None,
         first = periods[0] // scale
         return FeasibilityResult(FEASIBLE, (1,), jitters[0] // scale + first,
                                  None, ((first, first),))
-    last_cap = m_cap * (periods[0] // periods[-1])
+    last_cap = ((jitters[0] + periods[0] + view.suffix_wcet[0] - jitters[-1])
+                // periods[-1])
     values, witnesses = brute_force_last_values(periods, view.wcets, jitters,
                                                 last_cap)
     if not values:
-        if (solver_result is not None and solver_result.is_feasible
-                and solver_result.m[-1] > last_cap):
-            raise CapTooSmall(
-                f"solver witness m_last={solver_result.m[-1]} exceeds "
-                f"searched cap {last_cap}")
         return FeasibilityResult(INFEASIBLE, None, None, None, ())
     y = values[0]
     witness = witnesses[0]

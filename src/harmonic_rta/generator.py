@@ -74,13 +74,30 @@ class Rng:
         return (((x << 7) | (x >> 57)) * 9) & _MASK64
 
     def randint(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi], rejection-sampled (no modulo bias)."""
+        """Uniform integer in [lo, hi], rejection-sampled (no modulo bias).
+
+        A span up to 2^64 draws one 64-bit word per candidate.  A larger one
+        draws k words, the fewest that hold span - 1, and rejects candidates
+        at or above the largest multiple of the span below 2^(64k).
+        """
         if hi < lo:
             raise ValueError(f"empty range [{lo}, {hi}]")
         span = hi - lo + 1
-        limit = (1 << 64) - ((1 << 64) % span)
+        # The one-word loop is every generator's hot path; it stays apart
+        # from the k-word loop, which would cost it an inner loop per draw.
+        if span <= 1 << 64:
+            limit = (1 << 64) - ((1 << 64) % span)
+            while True:
+                u = self.next_u64()
+                if u < limit:
+                    return lo + u % span
+        words = -(-(span - 1).bit_length() // 64)
+        total = 1 << (64 * words)
+        limit = total - total % span
         while True:
-            u = self.next_u64()
+            u = 0
+            for _ in range(words):
+                u = (u << 64) | self.next_u64()
             if u < limit:
                 return lo + u % span
 

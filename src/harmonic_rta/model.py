@@ -169,35 +169,17 @@ def validate(raw_tasks: list[Task], relaxed: bool = False) -> TaskSet:
     return TaskSet(ordered, total_u)
 
 
-def pi_order(ts: TaskSet, target_index: int, tie_break: str = "jitter") -> PiOrder:
-    """Sort the target's higher-priority tasks by non-increasing period.
+def pi_order(ts: TaskSet, target_index: int) -> PiOrder:
+    """Sort the target's higher-priority tasks by non-increasing period,
+    ties by non-decreasing jitter, then priority.
 
-    Period ties are broken by non-decreasing jitter (`tie_break="jitter"`, the
-    default used by the WCRT iterations) or by original priority index
-    (`tie_break="priority"`, used by the jitter-feasibility pipeline, which is
-    the order its worked examples and windows are defined over).  Both are
-    fully deterministic; for jitter-free analysis the choice is immaterial.
+    This is the order and the suffix sums of `ordered_view(ts, target_index)`,
+    back in task time units.
     """
-    if not 0 <= target_index < len(ts):
-        raise IndexError(f"target index {target_index} out of range")
-    if tie_break not in ("jitter", "priority"):
-        raise ValueError(f"unknown tie_break {tie_break!r}")
-
-    hp = range(target_index)
-    if tie_break == "jitter":
-        key = lambda i: (-ts[i].period, ts[i].jitter, i)
-    else:
-        key = lambda i: (-ts[i].period, i)
-    order = tuple(sorted(hp, key=key))
-
-    k = len(order)
-    cum_wcet: list = [0] * k
-    cum_util: list = [Fraction(0)] * k
-    for pos in range(k - 2, -1, -1):
-        nxt = ts[order[pos + 1]]
-        cum_wcet[pos] = cum_wcet[pos + 1] + nxt.wcet
-        cum_util[pos] = cum_util[pos + 1] + nxt.utilization
-    return PiOrder(target_index, order, tuple(cum_wcet), tuple(cum_util))
+    view = ordered_view(ts, target_index)
+    return PiOrder(target_index, view.order,
+                   tuple([view.unscaled(w) for w in view.suffix_wcet]),
+                   tuple([Fraction(u, view.lcm) for u in view.suffix_unum]))
 
 
 def scaled(values, scale: int) -> tuple[int, ...]:
@@ -291,8 +273,9 @@ def ordered_view(ts: TaskSet, target_index: int | None,
     """The view of the target's higher-priority tasks (all tasks for None).
 
     Period ties go by non-decreasing jitter, then priority, when
-    `jitter_ties` is set (the WCRT iterations' order, as `pi_order`), else
-    by priority (the order the shift solver's windows are defined over).
+    `jitter_ties` is set (the WCRT iterations' order, which `pi_order`
+    reports), else by priority (the order the shift solver's windows are
+    defined over).
     Both orders are kept because the choice changes results: swapping them
     on 25,174 constrained-jitter targets (5,000 sets of the seed-20260818
     stream) changed the restricted-jitter verdict on 833, the shift

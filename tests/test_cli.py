@@ -437,6 +437,21 @@ def test_generate_with_target(tmp_path, capsys):
     assert ts[4].period >= max(t.period for t in ts.tasks[:4])
 
 
+@pytest.mark.parametrize("argv,tasks", [
+    (["--n", "70", "--factor-range", "2", "2", "--base-period", "1000",
+      "--utilization", "9/10", "--with-target"], 70),
+    (["--n", "3", "--base-period", "18446744073709551617", "--jitter-mode",
+      "constrained", "--utilization", "1/2"], 3),
+])
+def test_generate_with_times_above_two_to_the_64(argv, tasks, tmp_path,
+                                                 capsys):
+    # Periods this large make the generator draw from spans above 2^64.
+    dest = tmp_path / "wide.json"
+    rc, _, err = run_cli(["generate", *argv, "--output", str(dest)], capsys)
+    assert (rc, err) == (0, "")
+    assert len(load_tasks(str(dest))) == tasks
+
+
 def test_experiment_heuristic_quality_small(capsys):
     rc, out, _ = run_cli(["experiment", "heuristic-quality", "--sets", "30",
                           "--n", "4", "--utilization", "1/2", "--seed", "5",

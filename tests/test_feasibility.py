@@ -12,7 +12,6 @@ import pytest
 
 import harmonic_rta
 from harmonic_rta import (
-    CapTooSmall,
     Rng,
     Task,
     brute_force_feasibility,
@@ -91,13 +90,46 @@ def test_brute_force_single_task():
     assert brute_force_feasibility(ts, None).is_feasible
 
 
-def test_cap_too_small():
-    # A solver witness far outside the brute search box must be reported as
-    # such rather than as a false infeasible.
-    fr = solve_feasibility_arrays((100, 10), (1, 1), (50, 0))
-    with pytest.raises(CapTooSmall):
-        brute_force_feasibility(mk([(100, 1, 50), (10, 1, 0)]), None,
-                                m_cap=0, solver_result=fr)
+def _random_shift_rows(rng, relaxed):
+    """Rows in solver order; relaxed rows may have rational wcets and
+    a total utilization of 1 or more."""
+    n = rng.randint(2, 6)
+    periods = [rng.randint(n + 1, 24)]
+    for _ in range(n - 1):
+        periods.append(periods[-1] * rng.randint(1, 4))
+    periods.reverse()
+    rows = []
+    for t in periods:
+        if relaxed:
+            wcet = Fraction(rng.randint(1, 3 * t), 3)
+        else:
+            wcet = rng.randint(1, t // (n + 1))
+        rows.append((t, wcet, rng.randint(0, t - 1)))
+    return rows
+
+
+@pytest.mark.parametrize("relaxed", [False, True])
+def test_brute_force_box_is_complete(relaxed):
+    # The exact m_last box gives the same verdict and first witness as a
+    # capped search of 8*T_1/T_last, at U < 1 and at U >= 1.
+    rng = Rng(5150 + relaxed)
+    seen = {True: 0, False: 0}
+    overloaded = 0
+    for _ in range(600):
+        rows = _random_shift_rows(rng, relaxed)
+        ts = mk(rows, relaxed=relaxed)
+        overloaded += ts.total_utilization >= 1
+        periods, wcets, jitters = (tuple(col) for col in zip(*rows))
+        values, witnesses = brute_force_last_values(
+            periods, wcets, jitters, 8 * (periods[0] // periods[-1]))
+        fr = brute_force_feasibility(ts, None)
+        assert fr.is_feasible == bool(values)
+        seen[fr.is_feasible] += 1
+        if values:
+            assert fr.m == witnesses[0]
+            assert fr.virtual_jitter_max == jitters[-1] + values[0] * periods[-1]
+    assert min(seen.values()) >= 40
+    assert (overloaded >= 40) == relaxed
 
 
 def test_witness_satisfies_full_system(walkthrough):

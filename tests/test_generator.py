@@ -40,6 +40,19 @@ def test_rng_determinism_and_randint_bounds():
     assert set(draws) == {5, 6, 7}
 
 
+def test_randint_spans_above_two_to_the_64():
+    span = 1 << 70
+    draws = [Rng(seed).randint(5, 4 + span) for seed in (1, 1, 2)]
+    assert all(5 <= d <= 4 + span for d in draws)
+    assert draws[0] == draws[1] == 5 + 101834081503146298602
+    assert draws[2] != draws[0]
+    # Two words cover a span of 2^64 + 1; the draws still fill it.
+    r = Rng(8)
+    assert {r.randint(0, 1 << 64) >> 63 for _ in range(40)} == {0, 1}
+    # A span of exactly 2^64 keeps the one-word stream.
+    assert Rng(1).randint(0, (1 << 64) - 1) == Rng(1).next_u64()
+
+
 def test_uunifast_golden():
     out = uunifast(5, Fraction(1, 2), Rng(42))
     assert out == [

@@ -140,7 +140,7 @@ def _reference_lines():
         for k in range(1, len(ts)):
             _record(lines, classify_gamma, ts, None, k)
         fr = _record(lines, solve_feasibility, ts, None)
-        _record(lines, brute_force_feasibility, ts, None, solver_result=fr)
+        _record(lines, brute_force_feasibility, ts, None)
     return lines
 
 

@@ -106,14 +106,23 @@ def test_pi_order_no_higher_priority(table1):
     assert pi_order(table1, 0).order == ()
 
 
+RELAXED_ROWS = [(40, Fraction(7, 3), 5), (10, Fraction(9, 2), 1),
+                (20, 19, 0), (10, 3, 7), (40, Fraction(1, 6), 2)]
+
+
 def test_pi_order_suffix_sums(table1):
-    pi = pi_order(table1, 5)
-    wcets = [table1[i].wcet for i in pi.order]
-    k = len(wcets)
-    assert pi.cumulative_wcet[k - 1] == 0
-    for i in range(k - 1):
-        assert pi.cumulative_wcet[i] == pi.cumulative_wcet[i + 1] + wcets[i + 1]
-    assert pi.cumulative_util[k - 1] == 0
+    # The relaxed set has rational wcets and a utilization above 1.
+    for ts in (table1, mk(RELAXED_ROWS, relaxed=True)):
+        pi = pi_order(ts, len(ts) - 1)
+        wcets = [ts[i].wcet for i in pi.order]
+        utils = [ts[i].utilization for i in pi.order]
+        k = len(wcets)
+        assert pi.cumulative_wcet[k - 1] == 0
+        for i in range(k - 1):
+            assert (pi.cumulative_wcet[i]
+                    == pi.cumulative_wcet[i + 1] + wcets[i + 1])
+        for i in range(k):
+            assert pi.cumulative_util[i] == sum(utils[i + 1:], Fraction(0))
 
 
 def test_pi_order_periods_divide(table1):
