@@ -212,19 +212,23 @@ def feasibility_sweep(
             for alpha, feasible in zip(points, sums)]
 
 
-def random_analysis_set(rng: Rng, *, max_tasks: int = 12,
-                        jitter_mode: str = "none") -> TaskSet:
-    """One random harmonic set whose last task is the analysis target.
-
-    Base period 10, consecutive period ratios 1 or 2, and a total
-    utilization drawn from (1/20, 49/50) on a grid of 10^-6 of that span.
-    """
+def random_analysis_set(
+    rng: Rng,
+    *,
+    max_tasks: int = 12,
+    jitter_mode: str = "none",
+) -> TaskSet:
+    """One random harmonic set whose last task is the analysis target."""
     task_count = rng.randint(2, max_tasks)
     low, high = Fraction(1, 20), Fraction(49, 50)
     utilization = low + Fraction(rng.randint(1, 10**6 - 1), 10**6) * (high - low)
-    config = GenConfig(task_count=task_count - 1,
-                       total_utilization=utilization, base_period=10,
-                       factor_range=(1, 2), jitter_mode=jitter_mode)
+    config = GenConfig(
+        task_count=task_count - 1,
+        total_utilization=utilization,
+        base_period=10,
+        factor_range=(1, 2),
+        jitter_mode=jitter_mode,
+    )
     return generate_with_target(config, rng)
 
 

@@ -289,10 +289,8 @@ def brute_force_feasibility(ts: TaskSet, target_index: int | None = None
                                                 last_cap)
     if not values:
         return FeasibilityResult(INFEASIBLE, None, None, None, ())
-    y = values[0]
-    witness = witnesses[0]
-    window = y * periods[-1] // scale
-    return FeasibilityResult(FEASIBLE, witness,
+    window = values[0] * periods[-1] // scale
+    return FeasibilityResult(FEASIBLE, witnesses[0],
                              jitters[-1] // scale + window, None,
                              ((window, window),))
 

@@ -76,28 +76,25 @@ class Rng:
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], rejection-sampled (no modulo bias).
 
-        A span up to 2^64 draws one 64-bit word per candidate.  A larger one
-        draws k words, the fewest that hold span - 1, and rejects candidates
-        at or above the largest multiple of the span below 2^(64k).
+        Each candidate is k 64-bit words, the fewest that hold span - 1 (one
+        word for a span up to 2^64); candidates at or above the largest
+        multiple of the span below 2^(64k) are rejected.
         """
         if hi < lo:
             raise ValueError(f"empty range [{lo}, {hi}]")
         span = hi - lo + 1
-        # The one-word loop is every generator's hot path; it stays apart
-        # from the k-word loop, which would cost it an inner loop per draw.
-        if span <= 1 << 64:
-            limit = (1 << 64) - ((1 << 64) % span)
-            while True:
-                u = self.next_u64()
-                if u < limit:
-                    return lo + u % span
-        words = -(-(span - 1).bit_length() // 64)
-        total = 1 << (64 * words)
+        total = 1 << 64  # 2^(64k)
+        while total < span:
+            total <<= 64
         limit = total - total % span
         while True:
-            u = 0
-            for _ in range(words):
+            # Counting the k - 1 further words with `range` cost shift-sweep
+            # 9% of its ops/s on a 2-CPU Xeon; this loop costs one comparison
+            # per one-word candidate.
+            u, reach = self.next_u64(), 1 << 64
+            while reach < total:
                 u = (u << 64) | self.next_u64()
+                reach <<= 64
             if u < limit:
                 return lo + u % span
 

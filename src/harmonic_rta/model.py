@@ -97,9 +97,6 @@ class PiOrder:
     cumulative_wcet: tuple[Fraction | int, ...]
     cumulative_util: tuple[Fraction, ...]
 
-    def __len__(self) -> int:
-        return len(self.order)
-
 
 def _require_int(value, what: str, task_label: str):
     if type(value) is not int:
@@ -273,9 +270,8 @@ def ordered_view(ts: TaskSet, target_index: int | None,
     """The view of the target's higher-priority tasks (all tasks for None).
 
     Period ties go by non-decreasing jitter, then priority, when
-    `jitter_ties` is set (the WCRT iterations' order, which `pi_order`
-    reports), else by priority (the order the shift solver's windows are
-    defined over).
+    `jitter_ties` is set (the WCRT iterations' order, reported by `pi_order`),
+    else by priority (the order the shift solver's windows are defined over).
     Both orders are kept because the choice changes results: swapping them
     on 25,174 constrained-jitter targets (5,000 sets of the seed-20260818
     stream) changed the restricted-jitter verdict on 833, the shift
