@@ -11,6 +11,7 @@ for identical inputs and flags apart from the timestamp line, which
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -426,7 +427,26 @@ def cmd_experiment(args) -> int:
     return EXIT_OK if disagreements == 0 else EXIT_UNSCHEDULABLE
 
 
+def _fraction(text: str) -> Fraction:
+    """A rational flag value such as 0.95 or 19/20.
+
+    A zero denominator is a usage error like any other malformed value,
+    not a ZeroDivisionError from the command.
+    """
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise argparse.ArgumentTypeError(
+            f"invalid Fraction value: {text!r}") from None
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call in a process.
+
+    Every caller gets the same parser.  Parsing leaves it unchanged, so
+    every later `main` reuses it.
+    """
     parser = argparse.ArgumentParser(
         prog="harmonic-rta",
         description="Worst-case response time analysis for preemptive "
@@ -455,14 +475,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="emit pseudo-random task-set files")
     gen.add_argument("--n", type=int, required=True, help="task count")
-    gen.add_argument("--utilization", type=Fraction, default=Fraction(1, 2),
+    gen.add_argument("--utilization", type=_fraction, default=Fraction(1, 2),
                      help="total utilization, e.g. 0.95 or 19/20")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--count", type=int, default=1,
                      help="number of sets (> 1 writes OUTPUT-NNNN.json files)")
     gen.add_argument("--jitter-mode", default="none",
                      choices=("none", "unconstrained", "constrained"))
-    gen.add_argument("--alpha", type=Fraction, default=Fraction(1),
+    gen.add_argument("--alpha", type=_fraction, default=Fraction(1),
                      help="jitter scale for --jitter-mode unconstrained")
     gen.add_argument("--base-period", type=int, default=10)
     gen.add_argument("--factor-range", type=int, nargs=2, default=(1, 4),
@@ -480,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--n", type=int,
                      help="interfering tasks (heuristic-quality), task count "
                           "(feasibility-sweep), or max tasks (oracle-cross-check)")
-    exp.add_argument("--utilization", type=Fraction,
+    exp.add_argument("--utilization", type=_fraction,
                      help="single grid point (heuristic-quality) or total "
                           "utilization (feasibility-sweep)")
     exp.add_argument("--jitter-mode", choices=("none", "constrained"),

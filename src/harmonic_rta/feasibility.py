@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .harmonic import _staged_fixed_point
+from .harmonic import _staged_fixed_point, _staged_rta
 from .model import OrderedView, TaskSet, ordered_view
 from .rta import RtaResult
 
@@ -344,5 +344,4 @@ def wcrt_virtual_jitter(ts: TaskSet, target_index: int,
     const = view.target_wcet - sum(mi * c for mi, c in zip(fr.m, view.wcets))
     stages, ceils, _ = _staged_fixed_point(
         view, const, view.scaled(fr.virtual_jitter_max))
-    return RtaResult.within(target.deadline - target.jitter, stages[-1],
-                            ceils, stages)
+    return _staged_rta(target.deadline - target.jitter, stages, ceils)

@@ -44,49 +44,74 @@ class HarmonicIterationTrace:
     early_stop_stage: int | None
 
 
+def _reduced(num: int, den: int) -> Fraction:
+    """Fraction(num, den) for coprime num and den > 0, without the gcd.
+
+    Equal to Fraction(num, den) in value, repr and hash.  Fraction's own
+    constructor would reduce the pair a second time.
+    """
+    value = object.__new__(Fraction)
+    value._numerator = num
+    value._denominator = den
+    return value
+
+
 def _staged_fixed_point(view: OrderedView, const: int, jitter: int,
                         early_stop: bool = True):
     """Run the staged iteration for demand t = const + sum C*ceil((t+J)/T).
 
     `const` (the target wcet, or its virtual-jitter replacement) and the
-    uniform jitter J are in view units.  Each stage value is kept as a
-    reduced integer pair num/den.  Returns (stage_values, ceil_evals,
+    uniform jitter J are in view units.  Returns (stage_values, ceil_evals,
     early_stop_stage), the stage values as Fractions in task time units.
+
+    Stage s refines the previous value R by one ceiling,
+    R += (C_s*ceil((R+J)/T_s) - U_s*(R+J)) / (1 - U_later(s)).  That
+    recurrence keeps R + J = (A + J) / (1 - U_later(s)), where the integer
+    A is `const` plus C_k*ceil((R+J)/T_k) summed over the stages so far.
+    So the loop carries only reach = (A + J)*lcm and free = (1 -
+    U_later(s))*lcm, in which R + J = reach/free, and builds each stage
+    value from them with one gcd.
     """
-    lcm, total = view.lcm, view.total_unum
+    lcm, unums, total = view.rates()
     if total >= lcm:
         raise NonConvergent(
             f"higher-priority utilization {view.utilization} >= 1: "
             f"no fixed point")
     scale = view.scale
-    num = const * lcm + jitter * total
-    den = lcm - total
+    reach = (const + jitter) * lcm
+    free = lcm - total
+    # R = (reach - J*free)/free in view units, over `scale` in task units.
+    num, den = reach - jitter * free, free * scale
     g = math.gcd(num, den)
-    num //= g
-    den //= g
-    stage_values = [Fraction(num, den * scale)]
-    ceil_evals = 0
+    stage_values = [_reduced(num // g, den // g)]
     early_stop_stage = None
-    for s, (period, wcet, unum, later) in enumerate(zip(
-            view.periods, view.wcets, view.unum, view.suffix_unum)):
-        shifted = num + jitter * den
-        span = period * den
-        if early_stop and shifted % span == 0:
+    for period, wcet, unum in zip(view.periods, view.wcets, unums):
+        span = period * free
+        if early_stop and reach % span == 0:
             # Every remaining period divides this one, so all later
             # refinements would leave the value unchanged.
-            early_stop_stage = s + 1
+            early_stop_stage = len(stage_values)
             break
-        ceil_evals += 1
-        # value += (C*ceil((value+J)/T) - U*(value+J)) / (1 - U_later)
-        rest = lcm - later
-        num = (num * rest - unum * shifted
-               + wcet * lcm * den * -(-shifted // span))
-        den *= rest
+        reach += wcet * lcm * -(-reach // span)
+        free += unum
+        num, den = reach - jitter * free, free * scale
         g = math.gcd(num, den)
-        num //= g
-        den //= g
-        stage_values.append(Fraction(num, den * scale))
-    return tuple(stage_values), ceil_evals, early_stop_stage
+        stage_values.append(_reduced(num // g, den // g))
+    # One ceiling per computed stage.
+    return tuple(stage_values), len(stage_values) - 1, early_stop_stage
+
+
+def _staged_rta(budget: int, stages: tuple, ceil_evals: int) -> RtaResult:
+    """RtaResult.within(budget, stages[-1], ...) for a staged run.
+
+    The last stage value is reduced, so its margin (budget*den - num)/den
+    is reduced as it stands.
+    """
+    wcrt = stages[-1]
+    den = wcrt.denominator
+    slack = budget * den - wcrt.numerator
+    return RtaResult(wcrt, ceil_evals, stages, slack >= 0,
+                     _reduced(slack, den))
 
 
 def _staged_result(ts: TaskSet, target_index: int, jitter,
@@ -97,13 +122,12 @@ def _staged_result(ts: TaskSet, target_index: int, jitter,
     stages, ceils, stopped = _staged_fixed_point(
         view, view.target_wcet, view.scaled(jitter), early_stop=early_stop)
     budget = target.deadline - (target.jitter if jitter_aware else 0)
-    result = RtaResult.within(budget, stages[-1], ceils, stages)
-    return result, HarmonicIterationTrace(stages, ceils, stopped)
+    return (_staged_rta(budget, stages, ceils),
+            HarmonicIterationTrace(stages, ceils, stopped))
 
 
 def _reject_jitters(ts: TaskSet, target_index: int) -> None:
-    involved = list(ts.tasks[:target_index]) + [ts[target_index]]
-    for task in involved:
+    for task in ts.tasks[:target_index + 1]:
         if task.jitter:
             raise JitterPresent(
                 f"task {task.id} has jitter {task.jitter}; use a jitter-aware "

@@ -174,9 +174,10 @@ def pi_order(ts: TaskSet, target_index: int) -> PiOrder:
     back in task time units.
     """
     view = ordered_view(ts, target_index)
+    lcm, unum, _ = view.rates()
     return PiOrder(target_index, view.order,
                    tuple([view.unscaled(w) for w in view.suffix_wcet]),
-                   tuple([Fraction(u, view.lcm) for u in view.suffix_unum]))
+                   tuple([Fraction(u, lcm) for u in _suffix_sums(unum)]))
 
 
 def scaled(values, scale: int) -> tuple[int, ...]:
@@ -196,18 +197,15 @@ class OrderedView:
     The tasks are in non-increasing period order.  When a wcet, a jitter or
     an `extra` value (a uniform jitter, a demand shift) is rational, every
     time is multiplied by the common denominator `scale`: that changes the
-    unit of time, not a ceiling or a fixed point.  Utilizations are integer
-    numerators `unum` over `lcm`, the least common multiple of the scaled
-    periods (the largest one when they divide).  `suffix_wcet[k]` and
-    `suffix_unum[k]` sum over the tasks strictly after position k.
-    `rational` records whether a wcet was a Fraction, which decides the
-    type of the values the fixed points return.  Built per call, never
-    cached.
+    unit of time, not a ceiling or a fixed point.  `suffix_wcet[k]` sums
+    the wcets of the tasks strictly after position k.  `rational` records
+    whether a wcet was a Fraction, which decides the type of the values the
+    fixed points return.  The utilizations are built on first use by
+    `rates()`.  Built per call; nothing is shared between calls.
     """
 
     __slots__ = ("order", "periods", "wcets", "jitters", "target_wcet",
-                 "scale", "rational", "nondividing", "lcm", "unum",
-                 "total_unum", "suffix_wcet", "suffix_unum")
+                 "scale", "rational", "nondividing", "suffix_wcet", "_rates")
 
     def __init__(self, order, periods, wcets, jitters, target_wcet=0,
                  extra=()):
@@ -230,22 +228,31 @@ class OrderedView:
         self.periods, self.wcets, self.jitters = periods, wcets, jitters
         self.target_wcet = target_wcet
         self.scale = scale
+        self.suffix_wcet = _suffix_sums(wcets) if periods else ()
+        self._rates = None
 
-        if not periods:
-            self.lcm, self.total_unum = 1, 0
-            self.unum = self.suffix_wcet = self.suffix_unum = ()
-            return
-        lcm = periods[0] if self.nondividing is None else math.lcm(*periods)
-        unum = [w * (lcm // t) for t, w in zip(periods, wcets)]
-        self.lcm = lcm
-        self.unum = unum
-        self.total_unum = sum(unum)
-        self.suffix_wcet = _suffix_sums(wcets)
-        self.suffix_unum = _suffix_sums(unum)
+    def rates(self) -> tuple:
+        """(lcm, unum, total_unum), computed on the first call.
+
+        Utilizations are integer numerators `unum` over `lcm`, the least
+        common multiple of the scaled periods (the largest one when they
+        divide), and `total_unum` is their sum.  The fixed points read
+        them; the shift solver does not.
+        """
+        if self._rates is None:
+            periods = self.periods
+            if self.nondividing is None:
+                lcm = periods[0] if periods else 1
+            else:
+                lcm = math.lcm(*periods)
+            unum = [w * (lcm // t) for t, w in zip(periods, self.wcets)]
+            self._rates = (lcm, unum, sum(unum))
+        return self._rates
 
     @property
     def utilization(self) -> Fraction:
-        return Fraction(self.total_unum, self.lcm)
+        lcm, _, total = self.rates()
+        return Fraction(total, lcm)
 
     def scaled(self, value) -> int:
         """An int or Fraction time (a multiple of 1/scale) in view units."""

@@ -61,7 +61,7 @@ def _iterate(view: OrderedView, offsets, start) -> tuple:
     by default the exact rational weighted start.  A given start above
     both C_n and the weighted start raises ValueError.
     """
-    lcm, total = view.lcm, view.total_unum
+    lcm, _, total = view.rates()
     if total >= lcm:
         raise NonConvergent(
             f"higher-priority utilization {view.utilization} >= 1: "
@@ -111,9 +111,9 @@ def _weighted_start(view: OrderedView, offsets) -> Fraction:
     the line C_n + U_hp*t - sum U_i*O_i pointwise, so it is >= t up to
     there.
     """
-    lcm = view.lcm
-    return Fraction(view.target_wcet * lcm - sum(map(mul, view.unum, offsets)),
-                    (lcm - view.total_unum) * view.scale)
+    lcm, unum, total = view.rates()
+    return Fraction(view.target_wcet * lcm - sum(map(mul, unum, offsets)),
+                    (lcm - total) * view.scale)
 
 
 def wcrt_fixed_point(ts: TaskSet, target_index: int, start=None) -> RtaResult:

@@ -1,5 +1,6 @@
 """Command-line surface: report formats, exit codes, round trips."""
 
+import argparse
 import builtins
 import json
 import os
@@ -380,13 +381,84 @@ def test_unreachable_job_cap_exits_two_with_one_line(capsys):
                    "attempts\n")
 
 
+def _package_env():
+    """The environment with this package's source first on PYTHONPATH."""
+    src = str(Path(harmonic_rta.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+@pytest.mark.parametrize("argv", [
+    ["generate", "--n", "3", "--utilization", "1/0"],
+    ["generate", "--n", "3", "--jitter-mode", "unconstrained", "--alpha",
+     "1/0"],
+    ["experiment", "feasibility-sweep", "--sets", "1", "--utilization",
+     "1/0"],
+])
+def test_zero_denominator_flags_are_usage_errors(argv):
+    proc = subprocess.run([sys.executable, "-m", "harmonic_rta", *argv],
+                          env=_package_env(), capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    flag = argv[-2]
+    assert proc.stderr.splitlines()[-1].endswith(
+        f"error: argument {flag}: invalid Fraction value: '1/0'")
+
+
+def _outcome(argv, capsys):
+    """(exit code, stdout, stderr) of one main call, usage errors included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_parser_is_built_once_and_reused(table1_file, walkthrough_file,
+                                         capsys, monkeypatch):
+    analyze = ["analyze", "--input", table1_file, "--method",
+               "fixed-point-jitter", "--deterministic"]
+    calls = [
+        ["analyze", "--input", table1_file, "--method", "bogus"],
+        analyze,
+        ["generate", "--n", "4", "--seed", "3", "--jitter-mode",
+         "constrained"],
+        ["check-jitter", "--input", walkthrough_file, "--deterministic"],
+        analyze,
+    ]
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(_outcome(argv, capsys))
+    assert fresh[0][0] == 2 and "invalid choice: 'bogus'" in fresh[0][2]
+    assert [code for code, _, _ in fresh[1:]] == [0, 0, 0, 0]
+
+    built = []
+    real_init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    per_call = []
+    for argv, expected in zip(calls, fresh):
+        before = len(built)
+        assert _outcome(argv, capsys) == expected
+        per_call.append(len(built) - before)
+    assert per_call[0] > 0
+    assert per_call[1:] == [0, 0, 0, 0]
+
+
 def _run_optimized(script):
     """Run a Python snippet under ``python -O``, which strips asserts."""
-    src = str(Path(harmonic_rta.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, "-O", "-c", textwrap.dedent(script)],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_package_env(), capture_output=True, text=True,
+                          timeout=120)
 
 
 def test_flag_and_sampling_errors_exit_two_under_optimize():

@@ -1,5 +1,6 @@
 """Staged linear-time WCRT: stage traces, jitter variants, shifted demand."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -10,14 +11,18 @@ from harmonic_rta import (
     Rng,
     check_restricted_jitter,
     pi_order,
+    random_analysis_set,
+    solve_feasibility,
     wcrt_exclusion_model,
     wcrt_fixed_point,
     wcrt_fixed_point_jitter,
     wcrt_harmonic,
     wcrt_jitter_bounds,
     wcrt_uniform_jitter,
+    wcrt_virtual_jitter,
     wcrt_with_delays,
 )
+from harmonic_rta.harmonic import shared_jitter
 from conftest import TABLE1_WCRTS, brute_wcrt, mk
 
 
@@ -213,3 +218,62 @@ def test_priority_swap_of_equal_periods_keeps_wcrt():
     ra, _ = wcrt_harmonic(a, 3)
     rb, _ = wcrt_harmonic(b, 3)
     assert ra.wcrt == rb.wcrt
+
+
+def _staged_fractions(ts, target):
+    """Every stage value, wcrt and margin the staged methods return for
+    one target."""
+    results = [
+        wcrt_uniform_jitter(ts, target, shared_jitter(ts, target))[0],
+        wcrt_uniform_jitter(ts, target, Fraction(7, 3), early_stop=False)[0],
+    ]
+    if not any(t.jitter for t in ts.tasks[:target + 1]):
+        results += [wcrt_harmonic(ts, target)[0],
+                    wcrt_harmonic(ts, target, early_stop=False)[0]]
+    elif target:
+        feas = solve_feasibility(ts, target)
+        if feas.is_feasible:
+            results.append(wcrt_virtual_jitter(ts, target, feas))
+    for result in results:
+        yield from result.trace
+        yield result.margin
+
+
+def test_staged_values_are_reduced_fractions():
+    # The staged path builds its Fractions without Fraction's own
+    # normalization, so an unreduced pair would compare unequal to the
+    # same value built normally.  The acceptance streams are analysed at
+    # their last task, as in the acceptance corpora; relaxed sets with
+    # rational wcets at every task.
+    cases = []
+    plain, jittered = Rng(20260817), Rng(20260818)
+    for _ in range(2000):
+        for ts in (random_analysis_set(plain, max_tasks=12),
+                   random_analysis_set(jittered, max_tasks=10,
+                                       jitter_mode="constrained")):
+            cases.append((ts, len(ts) - 1))
+    rng = Rng(2718)
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        periods = [rng.randint(2, 12)]
+        for _ in range(n - 1):
+            periods.append(periods[-1] * rng.randint(1, 3))
+        periods.reverse()
+        ts = mk([(t, Fraction(rng.randint(1, 3 * t), 3 * n), 0)
+                 for t in periods], relaxed=True)
+        if ts.total_utilization < 1:
+            cases.extend((ts, target) for target in range(n))
+    checked = thirds = 0
+    for ts, target in cases:
+        for value in _staged_fractions(ts, target):
+            expected = Fraction(value.numerator, value.denominator)
+            assert type(value) is Fraction
+            assert value.denominator > 0
+            assert math.gcd(value.numerator, value.denominator) == 1
+            assert value == expected
+            assert repr(value) == repr(expected)
+            assert hash(value) == hash(expected)
+            checked += 1
+            thirds += value.denominator % 3 == 0
+    assert checked > 100_000
+    assert thirds > 10_000
