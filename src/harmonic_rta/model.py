@@ -109,11 +109,11 @@ def validate(raw_tasks: list[Task], relaxed: bool = False) -> TaskSet:
 
     Strict mode enforces: positive integer parameters, wcet <= deadline <=
     period, 0 <= jitter < period, distinct contiguous priorities 1..n,
-    pairwise harmonic periods, and total utilization < 1.
+    distinct ids, pairwise harmonic periods, and total utilization < 1.
 
     Relaxed mode (oracle tests and experiment-grade generated sets) skips the
     harmonicity and utilization-cap checks and allows rational wcets; the
-    structural per-task checks still apply.
+    structural per-task checks and the distinct ids still apply.
     """
     if not raw_tasks:
         raise TaskModelError("task set is empty")
@@ -155,7 +155,8 @@ def validate(raw_tasks: list[Task], relaxed: bool = False) -> TaskSet:
                     f"periods {a.period} (task {a.id or a.priority}) and "
                     f"{b.period} (task {b.id or b.priority}) do not divide")
 
-    total_u = sum((t.utilization for t in ordered), Fraction(0))
+    lcm = math.lcm(*(t.period for t in ordered))
+    total_u = Fraction(sum([t.wcet * (lcm // t.period) for t in ordered]), lcm)
     if not relaxed and total_u >= 1:
         raise UtilizationOverload(f"total utilization {total_u} >= 1")
 
@@ -163,6 +164,10 @@ def validate(raw_tasks: list[Task], relaxed: bool = False) -> TaskSet:
         t if t.id else Task(t.period, t.wcet, t.deadline, t.jitter,
                             t.priority, f"t{t.priority}")
         for t in ordered)
+    ids = [t.id for t in ordered]
+    if len(set(ids)) < len(ids):
+        repeated = next(i for k, i in enumerate(ids) if i in ids[:k])
+        raise TaskModelError(f"task id {repeated!r} is used more than once")
     return TaskSet(ordered, total_u)
 
 
@@ -201,7 +206,8 @@ class OrderedView:
     the wcets of the tasks strictly after position k.  `rational` records
     whether a wcet was a Fraction, which decides the type of the values the
     fixed points return.  The utilizations are built on first use by
-    `rates()`.  Built per call; nothing is shared between calls.
+    `rates()`.  Views are shared between calls and read-only once built;
+    only the `rates()` cache is filled in later.
     """
 
     __slots__ = ("order", "periods", "wcets", "jitters", "target_wcet",
@@ -272,6 +278,9 @@ class OrderedView:
                 f"higher-priority periods {a} and {b} do not divide")
 
 
+_last_views = (None, {})  # (ts, {(target_index, jitter_ties): view})
+
+
 def ordered_view(ts: TaskSet, target_index: int | None,
                  jitter_ties: bool = True, extra=()) -> OrderedView:
     """The view of the target's higher-priority tasks (all tasks for None).
@@ -284,8 +293,24 @@ def ordered_view(ts: TaskSet, target_index: int | None,
     stream) changed the restricted-jitter verdict on 833, the shift
     solver's result on 5,861 and the uniform-jitter stage trace on 5,878.
     Rational `extra` values the caller will convert with `view.scaled`
-    join the common denominator.
+    join the common denominator.  The views of the last set are kept (by
+    identity) and reused; a rational `extra` builds a new, unshared view.
     """
+    global _last_views
+    if (type(sum(extra)) is not int
+            or not isinstance(target_index, (int, type(None)))):
+        return _build_view(ts, target_index, jitter_ties, extra)
+    last, views = _last_views
+    if last is not ts:
+        _last_views = ts, (views := {})
+    key = target_index, jitter_ties
+    if key not in views:
+        views[key] = _build_view(ts, target_index, jitter_ties, ())
+    return views[key]
+
+
+def _build_view(ts: TaskSet, target_index: int | None, jitter_ties: bool,
+                extra) -> OrderedView:
     tasks = ts.tasks
     if target_index is None:
         hp, target_wcet = tasks, 0

@@ -407,6 +407,29 @@ def test_zero_denominator_flags_are_usage_errors(argv):
         f"error: argument {flag}: invalid Fraction value: '1/0'")
 
 
+def test_repeated_task_ids_exit_two_with_one_line(tmp_path, capsys):
+    # The second task's id is filled in as "t2", which the first one has;
+    # simulate matched rows by id and printed 3 for it (its WCRT is 8).
+    path = tmp_path / "dup.json"
+    path.write_text(json.dumps({"tasks": [
+        {"id": "t2", "period": 10, "wcet": 3, "deadline": 10, "priority": 1},
+        {"period": 20, "wcet": 5, "deadline": 20, "priority": 2},
+        {"id": "c", "period": 40, "wcet": 6, "deadline": 40, "priority": 3},
+    ]}))
+    message = "error: task id 't2' is used more than once\n"
+    proc = subprocess.run(
+        [sys.executable, "-m", "harmonic_rta", "analyze", "--input",
+         str(path), "--method", "simulate", "--deterministic"],
+        env=_package_env(), capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", message)
+    for argv in (["--method", "harmonic"],
+                 ["--method", "simulate", "--cross-validate"]):
+        assert run_cli(["analyze", "--input", str(path), *argv],
+                       capsys) == (2, "", message)
+    assert run_cli(["check-jitter", "--input", str(path)],
+                   capsys) == (2, "", message)
+
+
 def _outcome(argv, capsys):
     """(exit code, stdout, stderr) of one main call, usage errors included."""
     try:

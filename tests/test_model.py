@@ -1,6 +1,7 @@
 """Task model: validation rules, priority ordering, file round-trips."""
 
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -169,3 +170,39 @@ def test_load_parse_error_has_line_info(tmp_path):
     with pytest.raises(TaskModelError) as err:
         load_tasks(str(path))
     assert "line" in str(err.value)
+
+
+@pytest.mark.parametrize("relaxed", [False, True])
+def test_repeated_ids_are_rejected(relaxed):
+    # The second task has no id, so it reads "t2", which the first one has.
+    tasks = [Task(period=10, wcet=3, deadline=10, priority=1, id="t2"),
+             Task(period=20, wcet=5, deadline=20, priority=2),
+             Task(period=40, wcet=6, deadline=40, priority=3, id="c")]
+    with pytest.raises(TaskModelError, match="task id 't2' is used more"):
+        validate(tasks, relaxed=relaxed)
+    tasks[1] = Task(period=20, wcet=5, deadline=20, priority=2, id="c")
+    with pytest.raises(TaskModelError, match="task id 'c' is used more"):
+        validate(tasks, relaxed=relaxed)
+    tasks[1] = Task(period=20, wcet=5, deadline=20, priority=2, id="b")
+    assert [t.id for t in validate(tasks, relaxed=relaxed)] == ["t2", "b", "c"]
+
+
+def test_total_utilization_is_the_exact_fraction_sum():
+    rng = random.Random(5)
+    for trial in range(400):
+        rows = []
+        for _ in range(rng.randint(1, 12)):
+            period = rng.choice([2, 3, 5, 7, 12, 30, 49, 360, 1001])
+            wcet = (Fraction(rng.randint(1, 4 * period), 4) if trial % 2
+                    else rng.randint(1, period))
+            rows.append((period, min(wcet, period), rng.randrange(period)))
+        ts = mk(rows, relaxed=True)
+        total = ts.total_utilization
+        assert type(total) is Fraction
+        assert total == sum((t.utilization for t in ts), Fraction(0))
+    with pytest.raises(UtilizationOverload,
+                       match=r"^total utilization 11/10 >= 1$"):
+        mk([(10, 6, 0), (10, 5, 0)])
+    with pytest.raises(UtilizationOverload,
+                       match=r"^total utilization 1 >= 1$"):
+        mk([(20, 5, 0), (10, 5, 0), (40, 10, 0)])
