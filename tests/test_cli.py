@@ -199,6 +199,23 @@ def test_analyze_error_exits(table1_file, tmp_path, capsys):
     assert rc == 2 and err.startswith("error:")
 
 
+def test_jitter_free_methods_name_the_jittered_task(tmp_path, capsys):
+    path = write_task_file(tmp_path / "jittered.json",
+                           mk([(20, 2, 2), (40, 5, 0)]))
+    expected = {
+        "fixed-point": "error: method fixed-point requires a jitter-free "
+                       "task set, but task t1 has jitter 2\n",
+        "harmonic": "error: task t1 has jitter 2; use a jitter-aware "
+                    "method\n",
+        "exclusion": "error: task t1 has jitter 2; use a jitter-aware "
+                     "method\n",
+    }
+    for method, message in expected.items():
+        rc, out, err = run_cli(["analyze", "--input", path, "--method",
+                                method], capsys)
+        assert (rc, out, err) == (2, "", message)
+
+
 def test_unknown_method_rejected():
     with pytest.raises(CliError):
         cmd_analyze("whatever.json", "bogus")
