@@ -34,6 +34,7 @@ from .generator import (
     generate_with_target,
 )
 from .harmonic import (
+    _first_jittered,
     shared_jitter,
     wcrt_exclusion_model,
     wcrt_harmonic,
@@ -124,11 +125,11 @@ class AnalysisReport:
 
 
 def _require_jitter_free(ts: TaskSet, target_index: int, method: str) -> None:
-    for task in ts.tasks[:target_index + 1]:
-        if task.jitter:
-            raise CliError(
-                f"method {method} requires a jitter-free task set, but task "
-                f"{task.id} has jitter {task.jitter}")
+    task = _first_jittered(ts, target_index)
+    if task is not None:
+        raise CliError(
+            f"method {method} requires a jitter-free task set, but task "
+            f"{task.id} has jitter {task.jitter}")
 
 
 def _row(task, method, wcrt=None, schedulable=None, steps=None) -> ReportRow:
@@ -186,8 +187,7 @@ def _simulate_rows(ts: TaskSet, targets: list[int]) -> list[ReportRow]:
 def _cross_validate(ts: TaskSet, index: int, primary: str,
                     primary_wcrt) -> None:
     """Exact-agreement self-check of every method applicable to this target."""
-    jittered = any(t.jitter for t in ts.tasks[:index + 1])
-    values = method_values(ts, index, jittered)
+    values = method_values(ts, index, _first_jittered(ts, index) is not None)
     if primary_wcrt is not None:
         values[primary] = primary_wcrt
     if len(set(values.values())) > 1:

@@ -220,8 +220,8 @@ def random_analysis_set(
 ) -> TaskSet:
     """One random harmonic set whose last task is the analysis target."""
     task_count = rng.randint(2, max_tasks)
-    low, high = Fraction(1, 20), Fraction(49, 50)
-    utilization = low + Fraction(rng.randint(1, 10**6 - 1), 10**6) * (high - low)
+    # 1/20 + r/10^6 * (49/50 - 1/20), over one denominator.
+    utilization = Fraction(5 * 10**6 + 93 * rng.randint(1, 10**6 - 1), 10**8)
     config = GenConfig(
         task_count=task_count - 1,
         total_utilization=utilization,

@@ -241,7 +241,13 @@ def brute_force_last_values(periods, wcets, jitters, last_cap: int):
     periods, jitters, suffix = view.periods, view.jitters, view.suffix_wcet
     k = len(periods)
     values, witnesses = [], []
-    for y in range(last_cap + 1):
+    # m_1 = 1 needs J_last + m_last*T_last >= J_1 + T_1, so every smaller
+    # m_last fails at the first task.
+    first = 0
+    if k > 1:
+        first = max(0, -((jitters[-1] - jitters[0] - periods[0])
+                         // periods[-1]))
+    for y in range(first, last_cap + 1):
         j_max = jitters[-1] + y * periods[-1]
         witness = []
         ok = True

@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .model import Task, TaskSet, _suffix_sums, scaled, validate
+from .model import Task, TaskSet, _suffix_sums, _task_id, scaled, validate
 
 _MASK64 = (1 << 64) - 1
 _TWO53 = 1 << 53
@@ -274,6 +274,45 @@ def _integer_wcets(periods, wcet_nums, denom: int) -> list[int]:
     return out
 
 
+def _draw_tasks(config: GenConfig, rng: Rng) -> tuple[list[Task], int, int]:
+    """One interfering set's tasks, not yet validated, with busy and whole.
+
+    The set's utilization is busy / whole: busy = sum(C * (T_max // T)) with
+    wcets in units of 1/unit (1 for integer wcets, the utilization grid's
+    denominator for raw ones), and whole = T_max * unit.
+    """
+    n = config.task_count
+    total = config.total_utilization
+    denom = total.denominator * _TWO53
+    for _ in range(SAMPLING_ATTEMPTS):
+        periods = gen_harmonic_periods(n, config, rng)[::-1]
+        # Wcets in units of 1/denom, the utilization grid: t * u is an int.
+        wcet_nums = [t * u for t, u in
+                     zip(periods, _uunifast_numerators(n, total, rng)[::-1])]
+        if config.integer_wcets:
+            wcets = _integer_wcets(periods, wcet_nums, denom)
+            wcet_nums, unit = wcets, 1
+        else:
+            wcets = [Fraction(w, denom) for w in wcet_nums]
+            unit = denom
+        # Over the largest period, which all periods divide.  Raw wcets sum
+        # to the requested utilization exactly, so only rounding can fail.
+        t_max = periods[0]
+        busy = sum([w * (t_max // t) for w, t in zip(wcet_nums, periods)])
+        if busy >= t_max * unit:
+            continue
+        if config.jitter_mode == JITTER_CONSTRAINED:
+            jitters = _constrained_jitters(periods, wcet_nums, unit, rng)
+        elif config.jitter_mode == JITTER_UNCONSTRAINED:
+            jitters = gen_unconstrained_jitters(periods, config.alpha, rng)
+        else:
+            jitters = [0] * n
+        tasks = [Task(t, c, t, j, p, _task_id(p)) for p, (t, c, j) in
+                 enumerate(zip(periods, wcets, jitters), 1)]
+        return tasks, busy, t_max * unit
+    raise SamplingFailed(_GAVE_UP)
+
+
 def generate_interference_set(config: GenConfig, rng: Rng | None = None
                               ) -> TaskSet:
     """One random interfering task set (the higher-priority set of a target).
@@ -285,34 +324,8 @@ def generate_interference_set(config: GenConfig, rng: Rng | None = None
     keep exact rational wcets and relaxed validation.
     """
     rng = Rng(config.seed) if rng is None else rng
-    n = config.task_count
-    total = config.total_utilization
-    denom = total.denominator * _TWO53
-    for _ in range(SAMPLING_ATTEMPTS):
-        periods = gen_harmonic_periods(n, config, rng)[::-1]
-        # Wcets in units of 1/denom, the utilization grid: t * u is an int.
-        wcet_nums = [t * u for t, u in
-                     zip(periods, _uunifast_numerators(n, total, rng)[::-1])]
-        if config.integer_wcets:
-            wcets = _integer_wcets(periods, wcet_nums, denom)
-            # Utilization < 1 over the largest period, which all divide.
-            if sum(c * (periods[0] // t)
-                   for c, t in zip(wcets, periods)) >= periods[0]:
-                continue
-            wcet_nums, unit = wcets, 1
-        else:
-            wcets = [Fraction(w, denom) for w in wcet_nums]
-            unit = denom
-        if config.jitter_mode == JITTER_CONSTRAINED:
-            jitters = _constrained_jitters(periods, wcet_nums, unit, rng)
-        elif config.jitter_mode == JITTER_UNCONSTRAINED:
-            jitters = gen_unconstrained_jitters(periods, config.alpha, rng)
-        else:
-            jitters = [0] * n
-        tasks = [Task(period=t, wcet=c, deadline=t, jitter=j, priority=p + 1)
-                 for p, (t, c, j) in enumerate(zip(periods, wcets, jitters))]
-        return validate(tasks, relaxed=not config.integer_wcets)
-    raise SamplingFailed(_GAVE_UP)
+    tasks, _, _ = _draw_tasks(config, rng)
+    return validate(tasks, relaxed=not config.integer_wcets)
 
 
 def generate_with_target(config: GenConfig, rng: Rng | None = None) -> TaskSet:
@@ -322,27 +335,27 @@ def generate_with_target(config: GenConfig, rng: Rng | None = None) -> TaskSet:
     needed until the utilization headroom admits a strictly valid wcet),
     takes a wcet from half that headroom, deadline = period, and (in the
     jittered modes) its own jitter below its period.  config.task_count
-    counts the higher-priority tasks.
+    counts the higher-priority tasks.  Only the whole set is validated.
     """
     rng = Rng(config.seed) if rng is None else rng
     lo, hi = config.factor_range
     for _ in range(SAMPLING_ATTEMPTS):
-        hp = generate_interference_set(config, rng)
-        t_max = max(t.period for t in hp)
-        period = t_max * rng.randint(lo, hi)
-        slack = 1 - hp.total_utilization
-        while slack * period < 2:
+        tasks, busy, whole = _draw_tasks(config, rng)
+        period = tasks[0].period * rng.randint(lo, hi)
+        # The headroom 1 - U is free / whole, exactly.
+        free = whole - busy
+        while free * period < 2 * whole:
             period *= 2
-        c_hi = max(1, math.floor(slack * period / 2))
+        c_hi = max(1, free * period // (2 * whole))
         wcet = 1 if c_hi <= 1 else rng.randint(1, c_hi)
         jitter = 0
         if config.jitter_mode != JITTER_NONE:
             jitter = rng.randint(0, period - 1)
-        target = Task(period=period, wcet=wcet, deadline=period, jitter=jitter,
-                      priority=len(hp) + 1)
+        priority = len(tasks) + 1
+        tasks.append(Task(period, wcet, period, jitter, priority,
+                          _task_id(priority)))
         try:
-            return validate(list(hp.tasks) + [target],
-                            relaxed=not config.integer_wcets)
+            return validate(tasks, relaxed=not config.integer_wcets)
         except ValueError:
             continue
     raise SamplingFailed(_GAVE_UP)

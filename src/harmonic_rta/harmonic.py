@@ -126,12 +126,21 @@ def _staged_result(ts: TaskSet, target_index: int, jitter,
             HarmonicIterationTrace(stages, ceils, stopped))
 
 
-def _reject_jitters(ts: TaskSet, target_index: int) -> None:
+def _first_jittered(ts: TaskSet, target_index: int):
+    """The first task with jitter among the target and the tasks above it,
+    or None."""
     for task in ts.tasks[:target_index + 1]:
         if task.jitter:
-            raise JitterPresent(
-                f"task {task.id} has jitter {task.jitter}; use a jitter-aware "
-                f"method")
+            return task
+    return None
+
+
+def _reject_jitters(ts: TaskSet, target_index: int) -> None:
+    task = _first_jittered(ts, target_index)
+    if task is not None:
+        raise JitterPresent(
+            f"task {task.id} has jitter {task.jitter}; use a jitter-aware "
+            f"method")
 
 
 def wcrt_harmonic(ts: TaskSet, target_index: int, early_stop: bool = True):

@@ -65,6 +65,11 @@ class Task:
         return Fraction(self.wcet) / self.period
 
 
+def _task_id(priority: int) -> str:
+    """The id of a task that was given none."""
+    return f"t{priority}"
+
+
 @dataclass(frozen=True)
 class TaskSet:
     """Immutable task list ordered by strictly increasing priority index."""
@@ -162,7 +167,7 @@ def validate(raw_tasks: list[Task], relaxed: bool = False) -> TaskSet:
 
     ordered = tuple(
         t if t.id else Task(t.period, t.wcet, t.deadline, t.jitter,
-                            t.priority, f"t{t.priority}")
+                            t.priority, _task_id(t.priority))
         for t in ordered)
     ids = [t.id for t in ordered]
     if len(set(ids)) < len(ids):

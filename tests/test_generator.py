@@ -1,5 +1,6 @@
 """Workload generation: frozen RNG vectors, exact-sum sampling, feasibility."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -13,6 +14,7 @@ from harmonic_rta import (
     gen_unconstrained_jitters,
     generate_interference_set,
     generate_with_target,
+    random_analysis_set,
     solve_feasibility,
     uunifast,
     validate,
@@ -217,6 +219,20 @@ def test_generated_sets_are_strictly_valid():
         tst = generate_with_target(cfg, rng)
         assert len(tst) == cfg.task_count + 1
         assert tst.total_utilization < 1
+
+
+def test_generated_ids_follow_validate_rule():
+    # A drawn set validated again without its ids is the same set.
+    rng = Rng(4)
+    for mode in ("none", "unconstrained", "constrained"):
+        for integer in (True, False):
+            cfg = GenConfig(task_count=6, total_utilization=Fraction(4, 5),
+                            jitter_mode=mode, integer_wcets=integer)
+            for ts in (generate_interference_set(cfg, rng),
+                       generate_with_target(cfg, rng),
+                       random_analysis_set(rng, jitter_mode=mode)):
+                stripped = [replace(t, id="") for t in ts]
+                assert validate(stripped, relaxed=not integer) == ts
 
 
 def test_raw_sets_keep_exact_utilization():
