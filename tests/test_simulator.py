@@ -1,5 +1,7 @@
 """Discrete-event scheduler: frozen traces, discipline invariants, oracles."""
 
+from operator import itemgetter
+
 import pytest
 
 from harmonic_rta import (
@@ -125,6 +127,43 @@ def test_response_times_are_per_task_maxima(table1):
     for task_id, worst in trace.response_times.items():
         observed = max(j.response for j in trace.jobs if j.task_id == task_id)
         assert worst == observed
+
+
+def test_trace_order_facts():
+    # The trace order (release, finish, task id) is also the order of a
+    # stable sort on release alone: equal-release jobs finish in priority
+    # order.  Checked on non-harmonic sets, some overloaded, with random
+    # offsets and up to 12 tasks (so "t10" < "t2" by id).
+    rng = Rng(5150)
+    checked = overloaded = wide = 0
+    for k in range(300):
+        n = rng.randint(1, 12)
+        rows = []
+        for _ in range(n):
+            period = rng.randint(3, 30)
+            wcet = rng.randint(1, max(1, min(period,
+                                             period * (1 + k % 3) // (2 * n))))
+            rows.append((period, wcet, rng.randint(0, period - 1)))
+        ts = mk(rows, relaxed=True)
+        offsets = tuple(rng.randint(0, t.jitter) for t in ts)
+        horizon = max(t.period for t in ts) * rng.randint(1, 4)
+        try:
+            trace = simulate(ts, SimConfig(horizon, offsets))
+        except HorizonTooShort:
+            continue
+        checked += 1
+        overloaded += ts.total_utilization >= 1
+        wide += n >= 10
+        assert list(trace.jobs) == sorted(trace.jobs, key=itemgetter(3, 5, 0))
+        priority = {t.id: t.priority for t in ts}
+        for a, b in zip(trace.jobs, trace.jobs[1:]):
+            if a.release == b.release:
+                assert priority[a.task_id] < priority[b.task_id]
+        assert list(trace.response_times) == [t.id for t in ts]
+        for t in ts:
+            worst = max(j.response for j in trace.jobs if j.task_id == t.id)
+            assert trace.response_times[t.id] == worst
+    assert (checked, overloaded, wide) == (218, 13, 19)
 
 
 def test_simulation_matches_staged_on_critical_instant():
