@@ -187,7 +187,11 @@ def _simulate_rows(ts: TaskSet, targets: list[int]) -> list[ReportRow]:
 def _cross_validate(ts: TaskSet, index: int, primary: str,
                     primary_wcrt) -> None:
     """Exact-agreement self-check of every method applicable to this target."""
-    values = method_values(ts, index, _first_jittered(ts, index) is not None)
+    # Virtual jitter at index 0 is the jitter-aware fixed point itself.
+    skip = ("fixed-point-jitter" if (primary, index) == ("virtual-jitter", 0)
+            else primary)
+    values = method_values(ts, index, _first_jittered(ts, index) is not None,
+                           skip)
     if primary_wcrt is not None:
         values[primary] = primary_wcrt
     if len(set(values.values())) > 1:

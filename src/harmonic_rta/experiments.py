@@ -242,7 +242,8 @@ def first_job_sim_horizon(ts: TaskSet, response: Fraction) -> int:
     return max(longest, int(response) + 2)
 
 
-def method_values(ts: TaskSet, index: int, jittered: bool) -> dict:
+def method_values(ts: TaskSet, index: int, jittered: bool,
+                  skip: str | None = None) -> dict:
     """The WCRT of every exact method that applies to one target, by name.
 
     Jitter-free targets: the staged iteration, the classic fixed point and
@@ -251,21 +252,27 @@ def method_values(ts: TaskSet, index: int, jittered: bool) -> dict:
     when the shift system is feasible and the uniform-jitter WCRT at the
     shared jitter when the restricted condition holds.  All values must be
     equal; ``analyze --cross-validate`` and ``oracle-cross-check`` both
-    check this set.
+    check this set.  The method named `skip`, whose value the caller
+    already has, is left out.
     """
+    values = {}
     if not jittered:
-        return {
-            "harmonic": wcrt_harmonic(ts, index)[0].wcrt,
-            "fixed-point": wcrt_fixed_point(ts, index).wcrt,
-            "exclusion": wcrt_exclusion_model(ts, index).wcrt,
-        }
-    values = {"fixed-point-jitter": wcrt_fixed_point_jitter(ts, index).wcrt}
+        if skip != "harmonic":
+            values["harmonic"] = wcrt_harmonic(ts, index)[0].wcrt
+        if skip != "fixed-point":
+            values["fixed-point"] = wcrt_fixed_point(ts, index).wcrt
+        if skip != "exclusion":
+            values["exclusion"] = wcrt_exclusion_model(ts, index).wcrt
+        return values
+    if skip != "fixed-point-jitter":
+        values["fixed-point-jitter"] = wcrt_fixed_point_jitter(ts, index).wcrt
     if index > 0:
-        feas = solve_feasibility(ts, index)
-        if feas.is_feasible:
-            values["virtual-jitter"] = wcrt_virtual_jitter(ts, index,
-                                                           feas).wcrt
-        if check_restricted_jitter(ts, index):
+        if skip != "virtual-jitter":
+            feas = solve_feasibility(ts, index)
+            if feas.is_feasible:
+                values["virtual-jitter"] = wcrt_virtual_jitter(ts, index,
+                                                               feas).wcrt
+        if skip != "uniform-jitter" and check_restricted_jitter(ts, index):
             values["uniform-jitter"] = wcrt_uniform_jitter(
                 ts, index, shared_jitter(ts, index))[0].wcrt
     return values

@@ -126,6 +126,15 @@ class GenConfig:
         object.__setattr__(self, "total_utilization",
                            Fraction(self.total_utilization))
         object.__setattr__(self, "alpha", Fraction(self.alpha))
+        if type(self.task_count) is not int:
+            raise ValueError(f"task_count must be an int, got "
+                             f"{self.task_count!r}")
+        if type(self.base_period) is not int:
+            raise ValueError(f"base_period must be an int, got "
+                             f"{self.base_period!r}")
+        if not type(self.factor_range[0]) is type(self.factor_range[1]) is int:
+            raise ValueError(f"factor_range must hold two ints, got "
+                             f"{self.factor_range!r}")
         if not 0 < self.total_utilization < 1:
             raise ValueError("total utilization must be in (0, 1)")
         if self.task_count < 1:

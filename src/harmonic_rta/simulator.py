@@ -69,8 +69,6 @@ class Job(NamedTuple):
 
 # Builds a Job from one tuple without the Python-level __new__ call.
 _new_job = tuple.__new__
-# Trace order: release, finish, task id.
-_job_order = itemgetter(3, 5, 0)
 
 
 @dataclass(frozen=True)
@@ -134,6 +132,7 @@ def simulate(ts: TaskSet, cfg: SimConfig) -> SimTrace:
     ends = [inf]
     preemptions = 0
     jobs = []
+    response_times: dict = {}
     for task, off in zip(ts, offsets):
         task_id = task.id
         period = task.period
@@ -141,6 +140,7 @@ def simulate(ts: TaskSet, cfg: SimConfig) -> SimTrace:
         k = 0
         arrival = -off
         release = 0
+        worst = 0
         while True:
             # Run in free intervals m..last from the first free instant at
             # or after the release until wcet units are done.
@@ -177,18 +177,18 @@ def simulate(ts: TaskSet, cfg: SimConfig) -> SimTrace:
                     f"{horizon}")
             jobs.append(_new_job(Job, (task_id, k, arrival, release, start,
                                        finish)))
+            if finish - release > worst:
+                worst = finish - release
             k += 1
             arrival += period
             if arrival >= horizon:
                 break
             release = arrival
+        response_times[task_id] = worst
 
-    # Stable, so equal keys keep task then job index order.
-    jobs.sort(key=_job_order)
-    response_times: dict = {}
-    for task_id, _, _, release, _, finish in jobs:
-        if finish - release > response_times.get(task_id, 0):
-            response_times[task_id] = finish - release
+    # Stable on release: jobs released together stay in priority order,
+    # which is their finish order, so this is (release, finish, task id).
+    jobs.sort(key=itemgetter(3))
     idle = tuple(zip(starts[:-1], ends[:-1]))
     return SimTrace(tuple(jobs), response_times, preemptions, idle)
 

@@ -37,6 +37,8 @@ from harmonic_rta import (
 )
 from conftest import TABLE1_WCRTS, mk, write_task_file
 
+pytestmark = pytest.mark.acceptance
+
 PLAIN_SETS = 10_000
 JITTER_SETS = 10_000
 SIM_JOB_CAP = 20_000

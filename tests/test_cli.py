@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -251,6 +252,46 @@ def test_cross_validate_detects_mismatch(tmp_path, table1, capsys,
                           "harmonic", "--cross-validate"], capsys)
     assert rc == 2
     assert "mismatch" in err
+
+
+ANALYSES = ("wcrt_harmonic", "wcrt_fixed_point", "wcrt_exclusion_model",
+            "wcrt_fixed_point_jitter", "solve_feasibility",
+            "wcrt_virtual_jitter", "wcrt_uniform_jitter",
+            "check_restricted_jitter")
+
+
+def test_cross_validate_runs_each_analysis_once_per_target(
+        table1_file, tmp_path, table1, capsys, monkeypatch):
+    calls = Counter()
+
+    def counting(name, real):
+        def wrapper(ts, index, *args):
+            calls[name, index] += 1
+            return real(ts, index, *args)
+        return wrapper
+
+    for module in (cli, experiments):
+        for name in ANALYSES:
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counting(name, getattr(module, name)))
+    zeroed = write_task_file(
+        tmp_path / "zeroed.json",
+        mk([(t.period, t.wcet, 0, t.deadline) for t in table1]))
+    jittered = ("uniform-jitter", "fixed-point-jitter", "virtual-jitter",
+                "simulate")
+    for path, methods in ((zeroed, cli.METHODS), (table1_file, jittered)):
+        for method in methods:
+            calls.clear()
+            rc, _, _ = run_cli(["analyze", "--input", path, "--method",
+                                method, "--cross-validate"], capsys)
+            assert rc in (0, 1)
+            if method == "simulate":
+                # Its horizon reads every task's jitter-aware fixed point.
+                for i in range(len(table1)):
+                    calls["wcrt_fixed_point_jitter", i] -= 1
+            assert {index for _, index in +calls} == set(range(len(table1)))
+            assert set(calls.values()) <= {0, 1}, (method, calls)
 
 
 def test_check_jitter_worked_example(walkthrough_file, capsys):

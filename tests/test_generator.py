@@ -260,3 +260,15 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GenConfig(task_count=2, total_utilization=Fraction(1, 2),
                   base_period=0)
+
+
+@pytest.mark.parametrize("generate", [generate_interference_set,
+                                      generate_with_target])
+@pytest.mark.parametrize("field, value", [
+    ("task_count", 3.0), ("base_period", 10.0), ("base_period", True),
+    ("factor_range", (1, 2.0)), ("factor_range", (Fraction(1), 2))])
+def test_config_rejects_non_int_fields(generate, field, value):
+    kwargs = {"task_count": 3, "total_utilization": Fraction(1, 2),
+              field: value}
+    with pytest.raises(ValueError, match=f"^{field} must "):
+        generate(GenConfig(**kwargs), Rng(0))
