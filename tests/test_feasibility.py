@@ -12,6 +12,7 @@ import pytest
 
 import harmonic_rta
 from harmonic_rta import (
+    FeasibilityResult,
     Rng,
     Task,
     brute_force_feasibility,
@@ -25,6 +26,7 @@ from harmonic_rta import (
     wcrt_virtual_jitter,
 )
 from harmonic_rta.feasibility import (
+    Branch,
     brute_force_last_values,
     satisfies_constraints,
     solve_feasibility_arrays,
@@ -53,6 +55,13 @@ def test_single_hp_task():
     assert fr.is_feasible
     assert fr.m == (1,)
     assert fr.virtual_jitter_max == 4 + 10
+    assert fr.failure_stage is None
+    assert fr.bound_trace == ((10, 10),)
+    assert fr.branches == ()
+    # A rational jitter scales the view; windows stay in time units.
+    fr = solve_feasibility_arrays((10,), (3,), (Fraction(7, 2),))
+    assert repr(fr) == repr(FeasibilityResult(
+        "feasible", (1,), Fraction(27, 2), None, ((10, 10),)))
 
 
 def test_infeasible_pair_frozen():
@@ -60,7 +69,18 @@ def test_infeasible_pair_frozen():
     fr = solve_feasibility_arrays((100, 10), (1, 1), (55, 0))
     assert not fr.is_feasible
     assert fr.failure_stage == 1
-    assert fr.bound_trace[0] == (160, 150)
+    assert fr.bound_trace == ((160, 150),)
+    assert fr.branches == ()
+
+
+def test_stage_without_admissible_count_records_no_window():
+    # Stage 3 (period 4, jitter 2) needs m >= 4 to stay above the window's
+    # lower end 16 and m <= 3 to stay below its upper end 16: no count fits,
+    # so the trace stops at stage 2's window.
+    fr = solve_feasibility_arrays((8, 4, 4, 2), (1, 1, 1, 1), (7, 1, 2, 1))
+    assert repr(fr) == repr(FeasibilityResult(
+        "infeasible", None, None, 3, ((14, 16), (16, 16)),
+        (Branch(2, 3, 4, 0, 0, "upper"),)))
 
 
 def test_feasible_pair_frozen():

@@ -131,6 +131,12 @@ def test_jitter_bounds_degenerate():
     alone = mk([(10, 4, 0)])
     low, high = wcrt_jitter_bounds(alone, 0)
     assert low == high == 4
+    assert repr(low) == "Fraction(4, 1)"
+    # The first task of a relaxed set with rational wcets: its own wcet.
+    relaxed = mk([(10, Fraction(7, 3), 2), (5, Fraction(1, 2), 1)],
+                 relaxed=True)
+    low, high = wcrt_jitter_bounds(relaxed, 0)
+    assert repr(low) == repr(high) == "Fraction(7, 3)"
 
 
 def test_exclusion_model_matches_plain():
