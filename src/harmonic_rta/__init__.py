@@ -6,7 +6,7 @@ Library layout:
 - rta: classic fixed-point oracle (jitter-free and jitter-aware), nested_ceil
 - harmonic: staged linear-time WCRT, uniform-jitter variant, bounds,
   shifted-demand model, restricted-jitter condition
-- feasibility: virtual-jitter shift solver, brute-force oracle, gamma cases,
+- feasibility: virtual-jitter shift solver, brute-force oracle,
   virtual-jitter WCRT
 - generator: seeded RNG, UUniFast, harmonic periods, jitter sampling
 - simulator: exact preemptive fixed-priority schedule, level by level
@@ -51,12 +51,9 @@ from .harmonic import (
 )
 from .feasibility import (
     FeasibilityResult,
-    GammaCase,
-    IndexOutOfRange,
     InfeasibleInput,
     SolverCheckFailed,
     brute_force_feasibility,
-    classify_gamma,
     solve_feasibility,
     wcrt_virtual_jitter,
 )
@@ -75,7 +72,6 @@ from .simulator import (
     HorizonTooShort,
     SimConfig,
     SimTrace,
-    adversarial_response,
     simulate,
 )
 from .experiments import (

@@ -164,14 +164,15 @@ def _analyze_one(ts: TaskSet, index: int, method: str) -> ReportRow:
                 result.iterations)
 
 
-def _simulate_rows(ts: TaskSet, targets: list[int]) -> list[ReportRow]:
+def _simulate_rows(ts: TaskSet, targets: list[int],
+                   fixed_points: list) -> list[ReportRow]:
     # One run serves every target: releasing each task maximally late
     # (offset = jitter) realizes the jitter-aware critical instant for all
     # priority levels at once.  The simulator checks every task's first
-    # job, so the horizon covers every task's WCRT, not only the targets'.
+    # job, so the horizon covers every task's jitter-aware fixed point
+    # (`fixed_points`, by index), not only the targets'.
     longest = max(task.period for task in ts)
-    need = 2 * max(wcrt_fixed_point_jitter(ts, i).wcrt
-                   for i in range(len(ts)))
+    need = 2 * max(fixed_points)
     horizon = max(longest, -(-need.numerator // need.denominator))
     offsets = tuple(task.jitter for task in ts)
     trace = simulate(ts, SimConfig(horizon=horizon, release_offsets=offsets))
@@ -184,16 +185,23 @@ def _simulate_rows(ts: TaskSet, targets: list[int]) -> list[ReportRow]:
     return rows
 
 
-def _cross_validate(ts: TaskSet, index: int, primary: str,
-                    primary_wcrt) -> None:
-    """Exact-agreement self-check of every method applicable to this target."""
-    # Virtual jitter at index 0 is the jitter-aware fixed point itself.
-    skip = ("fixed-point-jitter" if (primary, index) == ("virtual-jitter", 0)
-            else primary)
-    values = method_values(ts, index, _first_jittered(ts, index) is not None,
-                           skip)
-    if primary_wcrt is not None:
-        values[primary] = primary_wcrt
+def _cross_validate(ts: TaskSet, index: int, primary: str, primary_wcrt,
+                    fixed_points=None) -> None:
+    """Exact-agreement self-check of every method applicable to this target.
+
+    `fixed_points`, when given, holds every task's jitter-aware fixed point,
+    which the caller has already computed.
+    """
+    jittered = _first_jittered(ts, index) is not None
+    known = {primary: primary_wcrt}
+    if (primary, index) == ("virtual-jitter", 0):
+        # Virtual jitter at index 0 is the jitter-aware fixed point itself.
+        known["fixed-point-jitter"] = None
+    elif jittered and fixed_points:
+        known["fixed-point-jitter"] = fixed_points[index]
+    values = method_values(ts, index, jittered, known)
+    values.update((name, wcrt) for name, wcrt in known.items()
+                  if wcrt is not None)
     if len(set(values.values())) > 1:
         detail = ", ".join(f"{name}={value}" for name, value in
                            sorted(values.items()))
@@ -222,13 +230,16 @@ def cmd_analyze(input_path: str, method: str, target: str = "all", *,
         report.metadata["seed"] = seed
     if not deterministic:
         report.metadata["timestamp"] = _timestamp()
+    fixed_points = None
     if method == "simulate":
-        report.rows = _simulate_rows(ts, targets)
+        fixed_points = [wcrt_fixed_point_jitter(ts, i).wcrt
+                        for i in range(len(ts))]
+        report.rows = _simulate_rows(ts, targets, fixed_points)
     else:
         report.rows = [_analyze_one(ts, i, method) for i in targets]
     if cross_validate:
         for row, i in zip(report.rows, targets):
-            _cross_validate(ts, i, method, row.wcrt)
+            _cross_validate(ts, i, method, row.wcrt, fixed_points)
     return report
 
 

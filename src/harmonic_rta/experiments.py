@@ -243,7 +243,7 @@ def first_job_sim_horizon(ts: TaskSet, response: Fraction) -> int:
 
 
 def method_values(ts: TaskSet, index: int, jittered: bool,
-                  skip: str | None = None) -> dict:
+                  skip=()) -> dict:
     """The WCRT of every exact method that applies to one target, by name.
 
     Jitter-free targets: the staged iteration, the classic fixed point and
@@ -252,27 +252,27 @@ def method_values(ts: TaskSet, index: int, jittered: bool,
     when the shift system is feasible and the uniform-jitter WCRT at the
     shared jitter when the restricted condition holds.  All values must be
     equal; ``analyze --cross-validate`` and ``oracle-cross-check`` both
-    check this set.  The method named `skip`, whose value the caller
-    already has, is left out.
+    check this set.  The methods named in `skip`, whose values the caller
+    already has, are left out.
     """
     values = {}
     if not jittered:
-        if skip != "harmonic":
+        if "harmonic" not in skip:
             values["harmonic"] = wcrt_harmonic(ts, index)[0].wcrt
-        if skip != "fixed-point":
+        if "fixed-point" not in skip:
             values["fixed-point"] = wcrt_fixed_point(ts, index).wcrt
-        if skip != "exclusion":
+        if "exclusion" not in skip:
             values["exclusion"] = wcrt_exclusion_model(ts, index).wcrt
         return values
-    if skip != "fixed-point-jitter":
+    if "fixed-point-jitter" not in skip:
         values["fixed-point-jitter"] = wcrt_fixed_point_jitter(ts, index).wcrt
     if index > 0:
-        if skip != "virtual-jitter":
+        if "virtual-jitter" not in skip:
             feas = solve_feasibility(ts, index)
             if feas.is_feasible:
                 values["virtual-jitter"] = wcrt_virtual_jitter(ts, index,
                                                                feas).wcrt
-        if skip != "uniform-jitter" and check_restricted_jitter(ts, index):
+        if "uniform-jitter" not in skip and check_restricted_jitter(ts, index):
             values["uniform-jitter"] = wcrt_uniform_jitter(
                 ts, index, shared_jitter(ts, index))[0].wcrt
     return values

@@ -35,10 +35,6 @@ class InfeasibleInput(ValueError):
     """A feasible FeasibilityResult was required."""
 
 
-class IndexOutOfRange(ValueError):
-    """Stage index outside 1..n-2."""
-
-
 @dataclass(frozen=True)
 class Branch:
     """Record of one two-candidate stage: window widths and the pick."""
@@ -71,14 +67,6 @@ class FeasibilityResult:
     @property
     def is_feasible(self) -> bool:
         return self.verdict == FEASIBLE
-
-
-@dataclass(frozen=True)
-class GammaCase:
-    """Local solution count of one adjacent-pair congruence stage."""
-
-    case_id: str
-    jtilde: int
 
 
 def _feasibility_view(ts: TaskSet, target_index: int | None,
@@ -155,68 +143,54 @@ def _solve(view: OrderedView, last_jitter) -> FeasibilityResult:
     t_last = periods[-1]
     j_last = jitters[-1]
 
-    if k == 1:
-        first = periods[0] // scale
-        result = FeasibilityResult(FEASIBLE, (1,), last_jitter + first, None,
-                                   ((first, first),))
-        _verify(view, result.m)
-        return result
-
     # Window [lb, ub] brackets m_last*T_last in view units; the anchor stage
     # intersects the m_1 = 1 shift of the largest-period task with the last
-    # task's congruence class.
+    # task's congruence class.  One task leaves the window [T_1, T_1].
     lb = periods[0] - t_last * ((j_last - jitters[0]) // t_last)
     ub = periods[0] + t_last * ((jitters[0] - j_last + suffix[0]) // t_last)
     trace = [(lb // scale, ub // scale)]
     branches: list[Branch] = []
     chosen_m = [1]
-    if lb > ub:
-        return FeasibilityResult(INFEASIBLE, None, None, 1, tuple(trace))
-
-    for s in range(1, k - 1):
-        stage = s + 1
-        period = periods[s]
-        jit = jitters[s]
-        m_lo = -((jit + suffix[s] - lb - j_last) // period)
+    stage = 1
+    while lb <= ub and stage < k - 1:
+        period, jit, after = periods[stage], jitters[stage], suffix[stage]
+        stage += 1
+        m_lo = -((jit + after - lb - j_last) // period)
         m_hi = (ub + j_last - jit) // period
         if m_lo > m_hi:
-            return FeasibilityResult(INFEASIBLE, None, None, stage,
-                                     tuple(trace), tuple(branches))
+            break
         q_lo = -t_last * ((j_last - jit) // t_last)
-        q_hi = t_last * ((jit - j_last + suffix[s]) // t_last)
-
-        if m_lo == m_hi:
-            m_val = m_lo
-            lb = max(m_val * period + q_lo, lb)
-            ub = min(m_val * period + q_hi, ub)
-        else:
+        q_hi = t_last * ((jit - j_last + after) // t_last)
+        m_val = m_hi
+        new_lb = max(m_hi * period + q_lo, lb)
+        new_ub = min(m_hi * period + q_hi, ub)
+        if m_lo < m_hi:
             # Two admissible shift counts; keep the one leaving the wider
             # window (ties to the upper), a greedy heuristic.
             lo_lb = max(m_lo * period + q_lo, lb)
             lo_ub = min(m_lo * period + q_hi, ub)
-            hi_lb = max(m_hi * period + q_lo, lb)
-            hi_ub = min(m_hi * period + q_hi, ub)
             diff_lower = lo_ub - lo_lb
-            diff_upper = hi_ub - hi_lb
+            diff_upper = new_ub - new_lb
+            pick = "upper"
             if diff_lower > diff_upper:
-                m_val, lb, ub = m_lo, lo_lb, lo_ub
-                pick = "lower"
-            else:
-                m_val, lb, ub = m_hi, hi_lb, hi_ub
-                pick = "upper"
+                m_val, new_lb, new_ub, pick = m_lo, lo_lb, lo_ub, "lower"
             branches.append(Branch(stage, m_lo, m_hi, diff_lower // scale,
                                    diff_upper // scale, pick))
+        lb, ub = new_lb, new_ub
         trace.append((lb // scale, ub // scale))
-        if lb > ub:
-            return FeasibilityResult(INFEASIBLE, None, None, stage,
-                                     tuple(trace), tuple(branches))
         chosen_m.append(m_val)
 
+    # A crossed window, or a stage that admits no shift count (and so
+    # records no window or count), ends the search at that stage.
+    if lb > ub or len(chosen_m) < stage:
+        return FeasibilityResult(INFEASIBLE, None, None, stage,
+                                 tuple(trace), tuple(branches))
     if lb % t_last:
         raise SolverCheckFailed(
             f"window bound {lb // scale} is not a multiple of the last "
             f"period {t_last // scale}")
-    chosen_m.append(lb // t_last)
+    if k > 1:
+        chosen_m.append(lb // t_last)
     result = FeasibilityResult(FEASIBLE, tuple(chosen_m),
                                last_jitter + lb // scale, None,
                                tuple(trace), tuple(branches))
@@ -299,34 +273,6 @@ def brute_force_feasibility(ts: TaskSet, target_index: int | None = None
     return FeasibilityResult(FEASIBLE, witnesses[0],
                              jitters[-1] // scale + window, None,
                              ((window, window),))
-
-
-def classify_gamma(ts: TaskSet, target_index: int | None, i: int) -> GammaCase:
-    """Solution count of the adjacent congruence at stage i (1-based).
-
-    Looks at the pair (pi(i), pi(i+1)): jtilde is the jitter difference
-    modulo the smaller period; the case says how many shift counts the pair
-    admits locally: "Zero" extra, exactly "One", "Both" candidates, or an
-    "Empty" local window.
-    """
-    view = _feasibility_view(ts, target_index)
-    periods, jitters, suffix = view.periods, view.jitters, view.suffix_wcet
-    unit = view.scale                      # one time unit in view units
-    k = len(periods)
-    if not 1 <= i <= k - 1:
-        raise IndexOutOfRange(f"stage {i} outside 1..{k - 1}")
-    jtilde = (jitters[i] - jitters[i - 1]) % periods[i]
-    after = suffix[i]                      # wcets strictly after pi(i+1)
-    gap = periods[i] - suffix[i - 1]       # period minus wcets after pi(i)
-    if jtilde <= after and jtilde <= gap - unit:
-        case = "Zero"
-    elif jtilde >= after + unit and jtilde >= gap:
-        case = "One"
-    elif gap <= jtilde <= after:
-        case = "Both"
-    else:
-        case = "Empty"
-    return GammaCase(case, jtilde // unit)
 
 
 def wcrt_virtual_jitter(ts: TaskSet, target_index: int,

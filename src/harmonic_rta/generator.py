@@ -123,9 +123,11 @@ class GenConfig:
     integer_wcets: bool = True
 
     def __post_init__(self):
-        object.__setattr__(self, "total_utilization",
-                           Fraction(self.total_utilization))
-        object.__setattr__(self, "alpha", Fraction(self.alpha))
+        if type(self.total_utilization) is not Fraction:
+            object.__setattr__(self, "total_utilization",
+                               Fraction(self.total_utilization))
+        if type(self.alpha) is not Fraction:
+            object.__setattr__(self, "alpha", Fraction(self.alpha))
         if type(self.task_count) is not int:
             raise ValueError(f"task_count must be an int, got "
                              f"{self.task_count!r}")

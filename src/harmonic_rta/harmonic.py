@@ -176,12 +176,11 @@ def wcrt_jitter_bounds(ts: TaskSet, target_index: int):
     between the two.
     """
     view = ordered_view(ts, target_index)
-    if not view.order:
-        wcrt = Fraction(ts[target_index].wcet)
-        return wcrt, wcrt
     view.require_harmonic()
-    low, _, _ = _staged_fixed_point(view, view.target_wcet, min(view.jitters))
-    high, _, _ = _staged_fixed_point(view, view.target_wcet, max(view.jitters))
+    low, _, _ = _staged_fixed_point(view, view.target_wcet,
+                                    min(view.jitters, default=0))
+    high, _, _ = _staged_fixed_point(view, view.target_wcet,
+                                     max(view.jitters, default=0))
     return low[-1], high[-1]
 
 

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import product
 from math import inf
 from operator import itemgetter
 from typing import NamedTuple
@@ -191,28 +190,3 @@ def simulate(ts: TaskSet, cfg: SimConfig) -> SimTrace:
     jobs.sort(key=itemgetter(3))
     idle = tuple(zip(starts[:-1], ends[:-1]))
     return SimTrace(tuple(jobs), response_times, preemptions, idle)
-
-
-def adversarial_response(ts: TaskSet, target_index: int, cfg: SimConfig) -> int:
-    """Largest observed target first-job response over offset corner patterns.
-
-    Scans every combination of offset in {0, jitter} for the higher-priority
-    tasks (the target's own offset shifts only its arrival, never its release
-    or response, so it stays 0).  An empirical lower bound on the jitter-aware
-    WCRT; exact at the critical instant for jitter-free sets.
-    """
-    if len(ts) > 6:
-        raise ValueError("offset scan is exponential; need n <= 6")
-    target = ts[target_index]
-    choices = []
-    for i, task in enumerate(ts):
-        if i == target_index:
-            choices.append((0,))
-        else:
-            choices.append((0, task.jitter) if task.jitter else (0,))
-    best = 0
-    for offsets in product(*choices):
-        trace = simulate(ts, SimConfig(cfg.horizon, tuple(offsets),
-                                       cfg.arrival_policy))
-        best = max(best, trace.first_response(target.id))
-    return best

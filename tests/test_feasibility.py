@@ -17,7 +17,6 @@ from harmonic_rta import (
     Task,
     brute_force_feasibility,
     check_restricted_jitter,
-    classify_gamma,
     solve_feasibility,
     validate,
     wcrt_fixed_point_jitter,
@@ -32,6 +31,7 @@ from harmonic_rta.feasibility import (
     solve_feasibility_arrays,
 )
 from conftest import mk, write_task_file
+from oracles import classify_gamma
 
 
 def test_worked_example(walkthrough):
@@ -71,9 +71,6 @@ def test_infeasible_pair_frozen():
     assert fr.failure_stage == 1
     assert fr.bound_trace == ((160, 150),)
     assert fr.branches == ()
-
-
-def test_stage_without_admissible_count_records_no_window():
     # Stage 3 (period 4, jitter 2) needs m >= 4 to stay above the window's
     # lower end 16 and m <= 3 to stay below its upper end 16: no count fits,
     # so the trace stops at stage 2's window.

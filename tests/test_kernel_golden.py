@@ -23,7 +23,6 @@ from harmonic_rta import (
     Task,
     brute_force_feasibility,
     check_restricted_jitter,
-    classify_gamma,
     feasibility_sweep,
     first_job_sim_horizon,
     generate_with_target,
@@ -54,6 +53,7 @@ from harmonic_rta.generator import (
     uunifast,
 )
 from conftest import mk
+from oracles import classify_gamma
 
 CORPUS_SETS = 300
 

@@ -10,7 +10,6 @@ from harmonic_rta import (
     TaskSet,
     brute_force_feasibility,
     check_restricted_jitter,
-    classify_gamma,
     pi_order,
     random_analysis_set,
     solve_feasibility,
@@ -26,6 +25,7 @@ from harmonic_rta import (
 from harmonic_rta.harmonic import shared_jitter
 from harmonic_rta.model import OrderedView, ordered_view
 from conftest import mk
+from oracles import classify_gamma
 
 
 @pytest.fixture

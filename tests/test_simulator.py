@@ -9,12 +9,12 @@ from harmonic_rta import (
     Rng,
     SimConfig,
     SimTrace,
-    adversarial_response,
     simulate,
     wcrt_fixed_point_jitter,
     wcrt_harmonic,
 )
 from conftest import mk
+from oracles import adversarial_response
 
 
 def test_single_task_first_job():

@@ -17,7 +17,6 @@ import pytest
 from harmonic_rta import (
     Rng,
     SimConfig,
-    adversarial_response,
     first_job_sim_horizon,
     random_analysis_set,
     simulate,
@@ -25,6 +24,7 @@ from harmonic_rta import (
     wcrt_harmonic,
 )
 from conftest import mk
+from oracles import adversarial_response
 
 PLAIN_SETS = 500
 JITTER_SETS = 300
