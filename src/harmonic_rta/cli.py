@@ -187,17 +187,14 @@ def _simulate_rows(ts: TaskSet, targets: list[int],
 
 def _cross_validate(ts: TaskSet, index: int, primary: str, primary_wcrt,
                     fixed_points=None) -> None:
-    """Exact-agreement self-check of every method applicable to this target.
-
-    `fixed_points`, when given, holds every task's jitter-aware fixed point,
-    which the caller has already computed.
-    """
+    """Exact-agreement self-check of every method applicable to this target."""
     jittered = _first_jittered(ts, index) is not None
     known = {primary: primary_wcrt}
     if (primary, index) == ("virtual-jitter", 0):
         # Virtual jitter at index 0 is the jitter-aware fixed point itself.
         known["fixed-point-jitter"] = None
     elif jittered and fixed_points:
+        # The simulation horizon has already computed it for every task.
         known["fixed-point-jitter"] = fixed_points[index]
     values = method_values(ts, index, jittered, known)
     values.update((name, wcrt) for name, wcrt in known.items()

@@ -177,10 +177,9 @@ def wcrt_jitter_bounds(ts: TaskSet, target_index: int):
     """
     view = ordered_view(ts, target_index)
     view.require_harmonic()
-    low, _, _ = _staged_fixed_point(view, view.target_wcet,
-                                    min(view.jitters, default=0))
-    high, _, _ = _staged_fixed_point(view, view.target_wcet,
-                                     max(view.jitters, default=0))
+    jitters = view.jitters or (0,)  # no interference: both are the wcet
+    low, _, _ = _staged_fixed_point(view, view.target_wcet, min(jitters))
+    high, _, _ = _staged_fixed_point(view, view.target_wcet, max(jitters))
     return low[-1], high[-1]
 
 
