@@ -18,8 +18,9 @@ enumeration, and wcrt_virtual_jitter turns a feasible solution into the WCRT.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import gt, mul
 
-from .harmonic import _staged_fixed_point, _staged_rta
+from .harmonic import _staged_rta, _staged_run
 from .model import OrderedView, TaskSet, ordered_view
 from .rta import RtaResult
 
@@ -90,18 +91,18 @@ def satisfies_constraints(periods, wcets, jitters, m) -> bool:
     one, and every shifted jitter at least the last one minus the wcet sum of
     the strictly-later tasks.
     """
-    k = len(periods)
-    if len(m) != k:
+    if len(m) != len(periods):
         return False
     j_last = jitters[-1] + m[-1] * periods[-1]
     later = 0
-    for i in range(k - 1, -1, -1):
-        if not (isinstance(m[i], int) and m[i] >= 0):
+    for period, wcet, jitter, mi in zip(reversed(periods), reversed(wcets),
+                                        reversed(jitters), reversed(m)):
+        if not (isinstance(mi, int) and mi >= 0):
             return False
-        shifted = jitters[i] + m[i] * periods[i]
+        shifted = jitter + mi * period
         if shifted > j_last or shifted < j_last - later:
             return False
-        later += wcets[i]
+        later += wcet
     return True
 
 
@@ -123,13 +124,20 @@ def solve_feasibility(ts: TaskSet, target_index: int | None = None
 def solve_feasibility_arrays(periods, wcets, jitters) -> FeasibilityResult:
     """solve_feasibility on pre-ordered arrays (non-increasing periods).
 
-    Raises NonHarmonic unless each period divides the one before it.
+    Raises NonHarmonic unless each period divides the one before it, and
+    ValueError naming the position of a jitter outside [0, period).
     Rational wcets and jitters are exact but slower than ints; a caller
     holding many sets with a known common denominator can scale them to
     ints first, which leaves the verdict and m unchanged.
     """
     view = OrderedView(None, periods, wcets, jitters)
     view.require_harmonic()
+    if min(view.jitters) < 0 or not all(map(gt, view.periods, view.jitters)):
+        k = next(k for k, (period, jitter) in
+                 enumerate(zip(view.periods, view.jitters))
+                 if not 0 <= jitter < period)
+        raise ValueError(f"jitters[{k}]={jitters[k]} is outside "
+                         f"[0, {periods[k]})")
     return _solve(view, jitters[-1])
 
 
@@ -138,7 +146,6 @@ def _solve(view: OrderedView, last_jitter) -> FeasibilityResult:
     are returned in task time units; `last_jitter` is the last task's
     jitter as the caller gave it."""
     periods, jitters, suffix = view.periods, view.jitters, view.suffix_wcet
-    scale = view.scale
     k = len(periods)
     t_last = periods[-1]
     j_last = jitters[-1]
@@ -148,7 +155,7 @@ def _solve(view: OrderedView, last_jitter) -> FeasibilityResult:
     # task's congruence class.  One task leaves the window [T_1, T_1].
     lb = periods[0] - t_last * ((j_last - jitters[0]) // t_last)
     ub = periods[0] + t_last * ((jitters[0] - j_last + suffix[0]) // t_last)
-    trace = [(lb // scale, ub // scale)]
+    trace = [(lb, ub)]
     branches: list[Branch] = []
     chosen_m = [1]
     stage = 1
@@ -162,24 +169,38 @@ def _solve(view: OrderedView, last_jitter) -> FeasibilityResult:
         q_lo = -t_last * ((j_last - jit) // t_last)
         q_hi = t_last * ((jit - j_last + after) // t_last)
         m_val = m_hi
-        new_lb = max(m_hi * period + q_lo, lb)
-        new_ub = min(m_hi * period + q_hi, ub)
+        new_lb = m_hi * period + q_lo
+        if new_lb < lb:
+            new_lb = lb
+        new_ub = m_hi * period + q_hi
+        if new_ub > ub:
+            new_ub = ub
         if m_lo < m_hi:
             # Two admissible shift counts; keep the one leaving the wider
             # window (ties to the upper), a greedy heuristic.
-            lo_lb = max(m_lo * period + q_lo, lb)
-            lo_ub = min(m_lo * period + q_hi, ub)
+            lo_lb = m_lo * period + q_lo
+            if lo_lb < lb:
+                lo_lb = lb
+            lo_ub = m_lo * period + q_hi
+            if lo_ub > ub:
+                lo_ub = ub
             diff_lower = lo_ub - lo_lb
             diff_upper = new_ub - new_lb
             pick = "upper"
             if diff_lower > diff_upper:
                 m_val, new_lb, new_ub, pick = m_lo, lo_lb, lo_ub, "lower"
-            branches.append(Branch(stage, m_lo, m_hi, diff_lower // scale,
-                                   diff_upper // scale, pick))
+            branches.append(Branch(stage, m_lo, m_hi, diff_lower, diff_upper,
+                                   pick))
         lb, ub = new_lb, new_ub
-        trace.append((lb // scale, ub // scale))
+        trace.append((lb, ub))
         chosen_m.append(m_val)
 
+    scale = view.scale
+    if scale != 1:
+        trace = [(low // scale, high // scale) for low, high in trace]
+        branches = [Branch(b.stage, b.lower_m, b.upper_m,
+                           b.diff_lower // scale, b.diff_upper // scale,
+                           b.chosen) for b in branches]
     # A crossed window, or a stage that admits no shift count (and so
     # records no window or count), ends the search at that stage.
     if lb > ub or len(chosen_m) < stage:
@@ -293,7 +314,7 @@ def wcrt_virtual_jitter(ts: TaskSet, target_index: int,
             f"solution covers {0 if fr.m is None else len(fr.m)} tasks, "
             f"target has {len(view.order)}")
     target = ts[target_index]
-    const = view.target_wcet - sum(mi * c for mi, c in zip(fr.m, view.wcets))
-    stages, ceils, _ = _staged_fixed_point(
-        view, const, view.scaled(fr.virtual_jitter_max))
+    const = view.target_wcet - sum(map(mul, fr.m, view.wcets))
+    stages, ceils, _ = _staged_run(view, const,
+                                   view.scaled(fr.virtual_jitter_max))
     return _staged_rta(target.deadline - target.jitter, stages, ceils)

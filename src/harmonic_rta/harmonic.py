@@ -12,11 +12,11 @@ per-task jitters.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
-from .model import OrderedView, TaskSet, ordered_view
+from .model import OrderedView, TaskSet, _ratio, _reduced, ordered_view
 from .rta import NonConvergent, RtaResult, _iterate
 
 
@@ -44,33 +44,22 @@ class HarmonicIterationTrace:
     early_stop_stage: int | None
 
 
-def _reduced(num: int, den: int) -> Fraction:
-    """Fraction(num, den) for coprime num and den > 0, without the gcd.
-
-    Equal to Fraction(num, den) in value, repr and hash.  Fraction's own
-    constructor would reduce the pair a second time.
-    """
-    value = object.__new__(Fraction)
-    value._numerator = num
-    value._denominator = den
-    return value
-
-
 def _staged_fixed_point(view: OrderedView, const: int, jitter: int,
-                        early_stop: bool = True):
+                        early_stop: bool = True, stage_values=None):
     """Run the staged iteration for demand t = const + sum C*ceil((t+J)/T).
 
     `const` (the target wcet, or its virtual-jitter replacement) and the
-    uniform jitter J are in view units.  Returns (stage_values, ceil_evals,
-    early_stop_stage), the stage values as Fractions in task time units.
+    uniform jitter J are in view units.  Returns the integer pair (reach,
+    free) of the last stage, in which R + J = reach/free in view units.
+    When `stage_values` is a list, each stage value, base value first, is
+    appended to it as a reduced Fraction in task time units.
 
     Stage s refines the previous value R by one ceiling,
     R += (C_s*ceil((R+J)/T_s) - U_s*(R+J)) / (1 - U_later(s)).  That
     recurrence keeps R + J = (A + J) / (1 - U_later(s)), where the integer
     A is `const` plus C_k*ceil((R+J)/T_k) summed over the stages so far.
     So the loop carries only reach = (A + J)*lcm and free = (1 -
-    U_later(s))*lcm, in which R + J = reach/free, and builds each stage
-    value from them with one gcd.
+    U_later(s))*lcm, and builds each stage value from them with one gcd.
     """
     lcm, unums, total = view.rates()
     if total >= lcm:
@@ -80,25 +69,39 @@ def _staged_fixed_point(view: OrderedView, const: int, jitter: int,
     scale = view.scale
     reach = (const + jitter) * lcm
     free = lcm - total
-    # R = (reach - J*free)/free in view units, over `scale` in task units.
-    num, den = reach - jitter * free, free * scale
-    g = math.gcd(num, den)
-    stage_values = [_reduced(num // g, den // g)]
-    early_stop_stage = None
+    if stage_values is not None:
+        # R = (reach - J*free)/free in view units, over `scale` in task units.
+        num, den = reach - jitter * free, free * scale
+        g = gcd(num, den)
+        stage_values.append(_reduced(num // g, den // g))
     for period, wcet, unum in zip(view.periods, view.wcets, unums):
         span = period * free
         if early_stop and reach % span == 0:
             # Every remaining period divides this one, so all later
             # refinements would leave the value unchanged.
-            early_stop_stage = len(stage_values)
             break
         reach += wcet * lcm * -(-reach // span)
         free += unum
-        num, den = reach - jitter * free, free * scale
-        g = math.gcd(num, den)
-        stage_values.append(_reduced(num // g, den // g))
-    # One ceiling per computed stage.
-    return tuple(stage_values), len(stage_values) - 1, early_stop_stage
+        if stage_values is not None:
+            num, den = reach - jitter * free, free * scale
+            g = gcd(num, den)
+            stage_values.append(_reduced(num // g, den // g))
+    return reach, free
+
+
+def _staged_run(view: OrderedView, const: int, jitter: int,
+                early_stop: bool = True):
+    """(stage_values, ceil_evals, early_stop_stage) of one staged run.
+
+    One ceiling per computed stage.  A run that stopped early holds at
+    most one value per task, the base value included, and their count is
+    the number of the stage it skipped.
+    """
+    values = []
+    _staged_fixed_point(view, const, jitter, early_stop, values)
+    stages = len(values)
+    return (tuple(values), stages - 1,
+            stages if stages <= len(view.periods) else None)
 
 
 def _staged_rta(budget: int, stages: tuple, ceil_evals: int) -> RtaResult:
@@ -119,8 +122,8 @@ def _staged_result(ts: TaskSet, target_index: int, jitter,
     target = ts[target_index]
     view = ordered_view(ts, target_index, extra=(jitter,))
     view.require_harmonic()
-    stages, ceils, stopped = _staged_fixed_point(
-        view, view.target_wcet, view.scaled(jitter), early_stop=early_stop)
+    stages, ceils, stopped = _staged_run(
+        view, view.target_wcet, view.scaled(jitter), early_stop)
     budget = target.deadline - (target.jitter if jitter_aware else 0)
     return (_staged_rta(budget, stages, ceils),
             HarmonicIterationTrace(stages, ceils, stopped))
@@ -178,9 +181,11 @@ def wcrt_jitter_bounds(ts: TaskSet, target_index: int):
     view = ordered_view(ts, target_index)
     view.require_harmonic()
     jitters = view.jitters or (0,)  # no interference: both are the wcet
-    low, _, _ = _staged_fixed_point(view, view.target_wcet, min(jitters))
-    high, _, _ = _staged_fixed_point(view, view.target_wcet, max(jitters))
-    return low[-1], high[-1]
+    bounds = []
+    for jitter in (min(jitters), max(jitters)):
+        reach, free = _staged_fixed_point(view, view.target_wcet, jitter)
+        bounds.append(_ratio(reach - jitter * free, free * view.scale))
+    return tuple(bounds)
 
 
 def wcrt_exclusion_model(ts: TaskSet, target_index: int) -> RtaResult:

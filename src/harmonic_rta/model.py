@@ -186,8 +186,26 @@ def pi_order(ts: TaskSet, target_index: int) -> PiOrder:
     view = ordered_view(ts, target_index)
     lcm, unum, _ = view.rates()
     return PiOrder(target_index, view.order,
-                   tuple([view.unscaled(w) for w in view.suffix_wcet]),
-                   tuple([Fraction(u, lcm) for u in _suffix_sums(unum)]))
+                   tuple(view.unscaled(view.suffix_wcet)),
+                   tuple([_ratio(u, lcm) for u in _suffix_sums(unum)]))
+
+
+def _reduced(num: int, den: int) -> Fraction:
+    """Fraction(num, den) for coprime num and den > 0, without the gcd.
+
+    Equal to Fraction(num, den) in value, repr and hash.  Fraction's own
+    constructor would reduce the pair a second time.
+    """
+    value = object.__new__(Fraction)
+    value._numerator = num
+    value._denominator = den
+    return value
+
+
+def _ratio(num: int, den: int) -> Fraction:
+    """Fraction(num, den) for den > 0, reduced with one gcd."""
+    g = math.gcd(num, den)
+    return _reduced(num // g, den // g)
 
 
 def scaled(values, scale: int) -> tuple[int, ...]:
@@ -269,12 +287,16 @@ class OrderedView:
         """An int or Fraction time (a multiple of 1/scale) in view units."""
         return value.numerator * (self.scale // value.denominator)
 
-    def unscaled(self, value: int):
-        """A fixed-point iterate back in task time units: a Fraction when
-        some wcet was one, else an int."""
+    def unscaled(self, values):
+        """Times in view units (fixed-point iterates, wcet sums) back in
+        task time units: Fractions when some wcet was one, else ints;
+        `values` itself when the view's unit is the task time unit."""
+        scale = self.scale
         if self.rational:
-            return Fraction(value, self.scale)
-        return value // self.scale
+            return [Fraction(v, scale) for v in values]
+        if scale == 1:
+            return values
+        return [v // scale for v in values]
 
     def require_harmonic(self) -> None:
         if self.nondividing is not None:
@@ -284,6 +306,7 @@ class OrderedView:
 
 
 _last_views = (None, {})  # (ts, {(target_index, jitter_ties): view})
+_INDEX_TYPES = (int, type(None))
 
 
 def ordered_view(ts: TaskSet, target_index: int | None,
@@ -300,18 +323,39 @@ def ordered_view(ts: TaskSet, target_index: int | None,
     Rational `extra` values the caller will convert with `view.scaled`
     join the common denominator.  The views of the last set are kept (by
     identity) and reused; a rational `extra` builds a new, unshared view.
+    When the stored view of the other tie order is also in this order,
+    that one object serves both.
     """
     global _last_views
-    if (type(sum(extra)) is not int
-            or not isinstance(target_index, (int, type(None)))):
+    if ((extra and type(sum(extra)) is not int)
+            or not isinstance(target_index, _INDEX_TYPES)):
         return _build_view(ts, target_index, jitter_ties, extra)
     last, views = _last_views
     if last is not ts:
         _last_views = ts, (views := {})
     key = target_index, jitter_ties
-    if key not in views:
-        views[key] = _build_view(ts, target_index, jitter_ties, ())
-    return views[key]
+    view = views.get(key)
+    if view is None:
+        view = views.get((target_index, not jitter_ties))
+        if view is None or not _ties_agree(view, jitter_ties):
+            view = _build_view(ts, target_index, jitter_ties, ())
+        views[key] = view
+    return view
+
+
+def _ties_agree(view: OrderedView, jitter_ties: bool) -> bool:
+    """Whether `view`, built for the other tie order, is in this one too.
+
+    Both orders sort by non-increasing period.  The priority order breaks
+    period ties by index, so it is also the jitter order when its jitters
+    do not decrease within a period; the jitter order breaks jitter ties
+    by index, so it is also the priority order when its indices increase
+    within a period.
+    """
+    periods = view.periods
+    keys = view.jitters if jitter_ties else view.order
+    return not any(a == b and x > y for a, b, x, y in
+                   zip(periods, periods[1:], keys, keys[1:]))
 
 
 def _build_view(ts: TaskSet, target_index: int | None, jitter_ties: bool,
@@ -355,6 +399,10 @@ def read_task_document(path: str):
         raise TaskModelError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from exc
+    except UnicodeDecodeError as exc:
+        raise TaskModelError(
+            f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}"
+        ) from exc
 
 
 def tasks_from_dict(doc, where: str = "<input>") -> TaskSet:
@@ -373,6 +421,10 @@ def tasks_from_dict(doc, where: str = "<input>") -> TaskSet:
         if unknown:
             raise TaskModelError(
                 f"{where}: tasks[{pos}] has unknown fields {sorted(unknown)}")
+        task_id = entry.get("id", "")
+        if not isinstance(task_id, str):
+            raise TaskModelError(f"{where}: tasks[{pos}] id must be a string, "
+                                 f"got {json.dumps(task_id)}")
         try:
             tasks.append(Task(
                 period=entry["period"],
@@ -380,7 +432,7 @@ def tasks_from_dict(doc, where: str = "<input>") -> TaskSet:
                 deadline=entry["deadline"],
                 jitter=entry.get("jitter", 0),
                 priority=entry["priority"],
-                id=str(entry.get("id", "")),
+                id=task_id,
             ))
         except KeyError as exc:
             raise TaskModelError(

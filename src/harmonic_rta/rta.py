@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .model import OrderedView, TaskSet, ordered_view
+from .model import OrderedView, TaskSet, _ratio, ordered_view
 
 MAX_ITERATIONS = 10 ** 6
 
@@ -71,7 +71,7 @@ def _iterate(view: OrderedView, offsets, start) -> tuple:
     if start is None:
         start = _weighted_start(view, offsets)
         if start.denominator == 1:
-            start = int(start)
+            start = start.numerator
     elif start * scale > wcet:
         # Iterates rise to the least fixed point from any start at or below
         # the weighted one, or at or below C_n, where the demand is >= C_n
@@ -100,7 +100,7 @@ def _iterate(view: OrderedView, offsets, start) -> tuple:
             nxt += task_wcet * -((offset - cur) // period)
         values.append(nxt)
         converged = nxt == cur
-    trace = (start, *map(view.unscaled, values))
+    trace = (start, *view.unscaled(values))
     return trace[-1], len(values), trace
 
 
@@ -112,8 +112,8 @@ def _weighted_start(view: OrderedView, offsets) -> Fraction:
     there.
     """
     lcm, unum, total = view.rates()
-    return Fraction(view.target_wcet * lcm - sum(map(mul, unum, offsets)),
-                    (lcm - total) * view.scale)
+    return _ratio(view.target_wcet * lcm - sum(map(mul, unum, offsets)),
+                  (lcm - total) * view.scale)
 
 
 def wcrt_fixed_point(ts: TaskSet, target_index: int, start=None) -> RtaResult:

@@ -489,6 +489,35 @@ def test_repeated_task_ids_exit_two_with_one_line(tmp_path, capsys):
                    capsys) == (2, "", message)
 
 
+@pytest.mark.parametrize("task_id, shown", [
+    (None, "null"), (5, "5"), (["a"], '["a"]')])
+def test_non_string_task_ids_exit_two_with_one_line(tmp_path, capsys,
+                                                   task_id, shown):
+    # Such ids used to become the strings "None", "5" and "['a']".
+    path = tmp_path / "ids.json"
+    path.write_text(json.dumps({"tasks": [
+        {"id": "a", "period": 10, "wcet": 3, "deadline": 10, "priority": 1},
+        {"id": task_id, "period": 20, "wcet": 5, "deadline": 20,
+         "priority": 2},
+    ]}))
+    message = (f"error: {path}: tasks[1] id must be a string, got "
+               f"{shown}\n")
+    for argv in (["analyze", "--input", str(path), "--method", "harmonic"],
+                 ["check-jitter", "--input", str(path)]):
+        assert run_cli(argv, capsys) == (2, "", message)
+
+
+def test_non_utf8_file_exits_two_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"tasks": [{"id": "\u00e9", "period": 10, "wcet": 1, '
+                     '"deadline": 10, "priority": 1}]}'.encode("latin-1"))
+    message = (f"error: {path}: not UTF-8 text at byte 19: invalid "
+               f"continuation byte\n")
+    for argv in (["analyze", "--input", str(path), "--method", "harmonic"],
+                 ["check-jitter", "--input", str(path)]):
+        assert run_cli(argv, capsys) == (2, "", message)
+
+
 def _outcome(argv, capsys):
     """(exit code, stdout, stderr) of one main call, usage errors included."""
     try:

@@ -91,6 +91,17 @@ def test_feasible_pair_frozen():
     assert witnesses == [(1, 15)]
 
 
+@pytest.mark.parametrize("periods, jitters, message", [
+    ((1, 1), (0, 2), r"jitters\[1\]=2 is outside \[0, 1\)"),
+    ((10, 5), (0, 5), r"jitters\[1\]=5 is outside \[0, 5\)"),
+    ((10, 5), (-1, 0), r"jitters\[0\]=-1 is outside \[0, 10\)"),
+    ((10, 5), (Fraction(21, 2), 0), r"jitters\[0\]=21/2 is outside"),
+])
+def test_arrays_reject_jitters_outside_the_period(periods, jitters, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        solve_feasibility_arrays(periods, (1, 1), jitters)
+
+
 def test_brute_force_on_worked_example(walkthrough):
     fr = brute_force_feasibility(walkthrough, None)
     assert fr.is_feasible

@@ -90,9 +90,20 @@ def test_one_set_builds_one_view_for_the_plain_methods(constructions):
         assert len(constructions) - before == 1
 
 
+def _orders_agree(ts, target):
+    """Whether period ties by jitter and by priority give one order."""
+    hp = ts.tasks[:target]
+    by_jitter = sorted(range(target),
+                       key=lambda i: (-hp[i].period, hp[i].jitter, i))
+    by_priority = sorted(range(target), key=lambda i: (-hp[i].period, i))
+    return by_jitter == by_priority
+
+
 def test_jitter_corpus_op_builds_its_two_orders_once(constructions):
     # The benchmark's jitter-corpus op: the WCRT order (period ties by
-    # jitter) and the shift solver's order (period ties by priority).
+    # jitter) and the shift solver's order (period ties by priority), one
+    # view when the two orders agree.
+    built = []
     for ts in _corpus(20260818, 100, "constrained"):
         target = len(ts) - 1
         before = len(constructions)
@@ -104,7 +115,60 @@ def test_jitter_corpus_op_builds_its_two_orders_once(constructions):
             order = pi_order(ts, target).order
             wcrt_uniform_jitter(ts, target, ts[order[-1]].jitter)
         wcrt_jitter_bounds(ts, target)
-        assert len(constructions) - before == 2
+        built.append(len(constructions) - before)
+        assert built[-1] == (1 if _orders_agree(ts, target) else 2)
+    assert set(built) == {1, 2}
+
+
+def test_shared_views_change_no_result(table1):
+    # One view serves both tie orders when they agree, whichever order an
+    # analysis asks for first; the results must be those of cold calls.
+    evict = mk([(10, 1, 0)])
+    agree = differ = 0
+    for ts in _corpus(20260818, 300, "constrained") + [table1]:
+        for k in range(1, len(ts)):
+            steps = _analyses(ts, k)
+            cold = []
+            for step in steps:
+                ordered_view(evict, 0)
+                cold.append(repr(step()))
+            for first in (lambda: wcrt_fixed_point_jitter(ts, k),
+                          lambda: solve_feasibility(ts, k)):
+                ordered_view(evict, 0)
+                first()
+                assert [repr(step()) for step in steps] == cold
+                shared = ordered_view(ts, k) is ordered_view(
+                    ts, k, jitter_ties=False)
+                assert shared == _orders_agree(ts, k)
+            agree += shared
+            differ += not shared
+    assert agree > 100 and differ > 100
+
+
+def test_bounds_are_the_uniform_jitter_runs_at_the_extremes():
+    rng = Rng(20260818)
+    cases = [random_analysis_set(rng, max_tasks=10, jitter_mode="constrained")
+             for _ in range(2000)]
+    rng = Rng(2718)
+    for _ in range(300):
+        n = rng.randint(2, 6)
+        periods = [rng.randint(2, 12)]
+        for _ in range(n - 1):
+            periods.append(periods[-1] * rng.randint(1, 3))
+        periods.reverse()
+        ts = mk([(t, Fraction(rng.randint(1, 3 * t), 3 * n),
+                  rng.randint(0, t - 1)) for t in periods], relaxed=True)
+        if ts.total_utilization < 1:
+            cases.append(ts)
+    checked = 0
+    for ts in cases:
+        for k in range(len(ts)):
+            jitters = [t.jitter for t in ts.tasks[:k]] or [0]
+            expected = tuple(repr(wcrt_uniform_jitter(ts, k, j)[0].wcrt)
+                             for j in (min(jitters), max(jitters)))
+            assert tuple(map(repr, wcrt_jitter_bounds(ts, k))) == expected
+            checked += 1
+    assert checked > 10_000
 
 
 def test_interleaved_sets_give_the_results_of_separate_runs():
