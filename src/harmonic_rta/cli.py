@@ -193,9 +193,11 @@ def _cross_validate(ts: TaskSet, index: int, primary: str, primary_wcrt,
     if (primary, index) == ("virtual-jitter", 0):
         # Virtual jitter at index 0 is the jitter-aware fixed point itself.
         known["fixed-point-jitter"] = None
-    elif jittered and fixed_points:
-        # The simulation horizon has already computed it for every task.
-        known["fixed-point-jitter"] = fixed_points[index]
+    elif fixed_points:
+        # The simulation horizon has already computed it for every task;
+        # with no jitter up to the target it is the plain fixed point.
+        name = "fixed-point-jitter" if jittered else "fixed-point"
+        known[name] = fixed_points[index]
     values = method_values(ts, index, jittered, known)
     values.update((name, wcrt) for name, wcrt in known.items()
                   if wcrt is not None)

@@ -124,21 +124,34 @@ def solve_feasibility(ts: TaskSet, target_index: int | None = None
 def solve_feasibility_arrays(periods, wcets, jitters) -> FeasibilityResult:
     """solve_feasibility on pre-ordered arrays (non-increasing periods).
 
-    Raises NonHarmonic unless each period divides the one before it, and
-    ValueError naming the position of a jitter outside [0, period).
+    Raises ValueError on arrays of different lengths, no task, or a jitter
+    outside [0, period) (naming its position), and NonHarmonic unless each
+    period divides the one before it.
     Rational wcets and jitters are exact but slower than ints; a caller
     holding many sets with a known common denominator can scale them to
     ints first, which leaves the verdict and m unchanged.
     """
-    view = OrderedView(None, periods, wcets, jitters)
+    view = _array_view(periods, wcets, jitters)
     view.require_harmonic()
+    return _solve(view, jitters[-1])
+
+
+def _array_view(periods, wcets, jitters) -> OrderedView:
+    """The view of pre-ordered raw arrays, after checking that they have
+    one length, at least one task, and every jitter in [0, period)."""
+    if not len(periods) == len(wcets) == len(jitters):
+        raise ValueError(f"periods, wcets and jitters have lengths "
+                         f"{len(periods)}, {len(wcets)} and {len(jitters)}")
+    if not periods:
+        raise ValueError("need at least one task")
+    view = OrderedView(None, periods, wcets, jitters)
     if min(view.jitters) < 0 or not all(map(gt, view.periods, view.jitters)):
         k = next(k for k, (period, jitter) in
                  enumerate(zip(view.periods, view.jitters))
                  if not 0 <= jitter < period)
         raise ValueError(f"jitters[{k}]={jitters[k]} is outside "
                          f"[0, {periods[k]})")
-    return _solve(view, jitters[-1])
+    return view
 
 
 def _solve(view: OrderedView, last_jitter) -> FeasibilityResult:
@@ -230,9 +243,10 @@ def brute_force_last_values(periods, wcets, jitters, last_cap: int):
 
     Every m_i is constrained only against m_last, so for each candidate the
     per-task intervals are checked independently (m_1 must admit 1).
-    Returns (values, witnesses) in ascending order.
+    Returns (values, witnesses) in ascending order.  Raises ValueError on
+    arrays of different lengths, no task, or a jitter outside [0, period).
     """
-    view = OrderedView(None, periods, wcets, jitters)
+    view = _array_view(periods, wcets, jitters)
     periods, jitters, suffix = view.periods, view.jitters, view.suffix_wcet
     k = len(periods)
     values, witnesses = [], []

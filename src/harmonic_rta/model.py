@@ -403,6 +403,12 @@ def read_task_document(path: str):
         raise TaskModelError(
             f"{path}: not UTF-8 text at byte {exc.start}: {exc.reason}"
         ) from exc
+    except ValueError as exc:
+        # An integer past Python's digit limit for int().
+        raise TaskModelError(f"{path}: {exc}") from exc
+    except RecursionError as exc:
+        raise TaskModelError(
+            f"{path}: JSON nested too deeply to read") from exc
 
 
 def tasks_from_dict(doc, where: str = "<input>") -> TaskSet:

@@ -140,34 +140,50 @@ def simulate(ts: TaskSet, cfg: SimConfig) -> SimTrace:
         arrival = -off
         release = 0
         worst = 0
+        m = 0
         while True:
-            # Run in free intervals m..last from the first free instant at
-            # or after the release until wcet units are done.
-            m = bisect_right(ends, release)
+            # The first free interval m ending after the release.  Releases
+            # only grow, and every interval before the previous job's m ends
+            # at or before that job's release, so the search starts there.
+            m = bisect_right(ends, release, m)
             head = starts[m]
             start = head if head > release else release
-            left = wcet
-            last = m
-            begin = start
-            while ends[last] - begin < left:
-                left -= ends[last] - begin
-                last += 1
+            finish = start + wcet
+            end = ends[m]
+            if finish < end:
+                if head < start:
+                    # Give back [head, start): interval m splits in two.
+                    ends.insert(m, start)
+                    starts.insert(m + 1, finish)
+                else:
+                    starts[m] = finish
+            elif finish == end:
+                if head < start:
+                    ends[m] = start
+                else:
+                    del starts[m]
+                    del ends[m]
+            else:
+                # Run on in free intervals m+1..last until wcet units are
+                # done; each gap before one of them is a preemption.
+                left = finish - end
+                last = m + 1
                 begin = starts[last]
-            finish = begin + left
-            preemptions += last - m
-            # Give back [finish, ends[last]) and [head, start), drop the rest.
-            stop = last + 1
-            if finish < ends[last]:
-                starts[last] = finish
-                stop = last
-            if head < start:
-                if m < stop:
+                while ends[last] - begin < left:
+                    left -= ends[last] - begin
+                    last += 1
+                    begin = starts[last]
+                finish = begin + left
+                preemptions += last - m
+                # Give back [finish, ends[last]) and [head, start), drop the
+                # rest.
+                stop = last + 1
+                if finish < ends[last]:
+                    starts[last] = finish
+                    stop = last
+                if head < start:
                     ends[m] = start
                     m += 1
-                else:
-                    starts.insert(m, head)
-                    ends.insert(m, start)
-            if m < stop:
                 del starts[m:stop]
                 del ends[m:stop]
             if k == 0 and finish > horizon:

@@ -2,7 +2,8 @@
 
 `classify_gamma` sorts one adjacent pair of the shift solver's order into
 its local solution case; `adversarial_response` scans release-offset
-corner patterns with the simulator.
+corner patterns with the simulator; `unit_step_schedule` builds the
+simulator's schedule again, one time unit at a time.
 """
 
 from dataclasses import dataclass
@@ -75,3 +76,64 @@ def adversarial_response(ts: TaskSet, target_index: int, cfg: SimConfig) -> int:
                                        cfg.arrival_policy))
         best = max(best, trace.first_response(target.id))
     return best
+
+
+def unit_step_schedule(ts: TaskSet, horizon: int, offsets) -> tuple:
+    """The simulator's schedule, built one time unit at a time.
+
+    Releases follow the simulator's pattern: job k of task i arrives at
+    k*T_i - offsets[i] and is released at max(0, arrival), for its first job
+    and every later arrival before the horizon.  At each time unit the
+    highest-priority task with a pending job runs the earliest released of
+    them.  Returns (jobs, resumptions, idle): the job tuples (task id, job
+    index, arrival, release, start, finish) ordered by (release, finish,
+    priority), the number of times a job ran again after a gap, and the
+    idle intervals before the last finish.
+    """
+    arrivals = []
+    for priority, (task, offset) in enumerate(zip(ts, offsets)):
+        arrival = -offset
+        k = 0
+        while k == 0 or arrival < horizon:
+            arrivals.append((max(arrival, 0), priority, k, arrival))
+            arrival += task.period
+            k += 1
+    arrivals.sort()
+    # Pending jobs per task: [index, arrival, release, units left, start].
+    queues = [[] for _ in ts]
+    done = []
+    resumptions = 0
+    idle = []
+    previous = None
+    t = 0
+    released = 0
+    while len(done) < len(arrivals):
+        while released < len(arrivals) and arrivals[released][0] <= t:
+            release, priority, k, arrival = arrivals[released]
+            queues[priority].append([k, arrival, release, ts[priority].wcet,
+                                     None])
+            released += 1
+        priority = next((p for p, queue in enumerate(queues) if queue), None)
+        if priority is None:
+            if idle and idle[-1][1] == t:
+                idle[-1] = (idle[-1][0], t + 1)
+            else:
+                idle.append((t, t + 1))
+            previous = None
+            t += 1
+            continue
+        job = queues[priority][0]
+        if job[4] is None:
+            job[4] = t
+        elif job is not previous:
+            resumptions += 1
+        job[3] -= 1
+        previous = job
+        t += 1
+        if job[3] == 0:
+            queues[priority].pop(0)
+            k, arrival, release, _, start = job
+            done.append((release, t, priority,
+                         (ts[priority].id, k, arrival, release, start, t)))
+    done.sort()
+    return [record for *_, record in done], resumptions, tuple(idle)

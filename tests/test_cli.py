@@ -288,9 +288,12 @@ def test_cross_validate_runs_each_analysis_once_per_target(
             assert rc in (0, 1)
             if method == "simulate":
                 # Its horizon reads every task's jitter-aware fixed point,
-                # and the cross-check reuses those values.
+                # and the cross-check reuses those values; on the zeroed
+                # file they are also the plain fixed points.
                 for i in range(len(table1)):
                     assert calls["wcrt_fixed_point_jitter", i] == 1
+                    if path == zeroed:
+                        assert calls["wcrt_fixed_point", i] == 0
             assert {index for _, index in +calls} == set(range(len(table1)))
             assert set(calls.values()) <= {0, 1}, (method, calls)
 
@@ -516,6 +519,24 @@ def test_non_utf8_file_exits_two_naming_the_file(tmp_path, capsys):
     for argv in (["analyze", "--input", str(path), "--method", "harmonic"],
                  ["check-jitter", "--input", str(path)]):
         assert run_cli(argv, capsys) == (2, "", message)
+
+
+@pytest.mark.parametrize("text, reason", [
+    ('{"tasks": ' + "[" * 100000 + "]" * 100000 + "}",
+     "JSON nested too deeply to read"),
+    ('{"tasks": [{"period": ' + "1" * 5000 + ', "wcet": 1, "deadline": 1, '
+     '"priority": 1}]}', "Exceeds the limit (4300 digits)"),
+], ids=["nested", "long-int"])
+def test_unreadable_json_exits_two_naming_the_file(tmp_path, capsys, text,
+                                                   reason):
+    path = tmp_path / "tasks.json"
+    path.write_text(text, encoding="utf-8")
+    for argv in (["analyze", "--input", str(path), "--method", "harmonic"],
+                 ["check-jitter", "--input", str(path)]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {path}: {reason}")
+        assert err.count("\n") == 1
 
 
 def _outcome(argv, capsys):

@@ -96,10 +96,27 @@ def test_feasible_pair_frozen():
     ((10, 5), (0, 5), r"jitters\[1\]=5 is outside \[0, 5\)"),
     ((10, 5), (-1, 0), r"jitters\[0\]=-1 is outside \[0, 10\)"),
     ((10, 5), (Fraction(21, 2), 0), r"jitters\[0\]=21/2 is outside"),
+    ((10, 5), (0, 7), r"jitters\[1\]=7 is outside \[0, 5\)"),
 ])
 def test_arrays_reject_jitters_outside_the_period(periods, jitters, message):
     with pytest.raises(ValueError, match=f"^{message}"):
         solve_feasibility_arrays(periods, (1, 1), jitters)
+    with pytest.raises(ValueError, match=f"^{message}"):
+        brute_force_last_values(periods, (1, 1), jitters, 3)
+
+
+@pytest.mark.parametrize("periods, wcets, jitters, message", [
+    ((10, 5), (1,), (0, 1),
+     "periods, wcets and jitters have lengths 2, 1 and 2"),
+    ((10,), (1, 1), (0, 0),
+     "periods, wcets and jitters have lengths 1, 2 and 2"),
+    ((), (), (), "need at least one task"),
+])
+def test_arrays_need_one_length_and_a_task(periods, wcets, jitters, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        solve_feasibility_arrays(periods, wcets, jitters)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        brute_force_last_values(periods, wcets, jitters, 3)
 
 
 def test_brute_force_on_worked_example(walkthrough):

@@ -1,5 +1,6 @@
 """Discrete-event scheduler: frozen traces, discipline invariants, oracles."""
 
+import re
 from operator import itemgetter
 
 import pytest
@@ -14,7 +15,7 @@ from harmonic_rta import (
     wcrt_harmonic,
 )
 from conftest import mk
-from oracles import adversarial_response
+from oracles import adversarial_response, unit_step_schedule
 
 
 def test_single_task_first_job():
@@ -103,6 +104,42 @@ def test_schedule_invariants_random():
             assert a < b
             for job in trace.jobs:
                 assert job.finish <= a or job.release >= b
+
+
+def test_simulator_matches_unit_step_schedule():
+    # Non-harmonic sets, some overloaded, jitter on about half the tasks.
+    rng = Rng(8128)
+    compared = preempted = too_short = 0
+    for _ in range(2000):
+        n = rng.randint(1, 5)
+        rows = []
+        for _ in range(n):
+            period = rng.randint(2, 30)
+            jitter = rng.randint(1, period - 1) if rng.randint(0, 1) else 0
+            rows.append((period, rng.randint(1, max(1, period // n)), jitter))
+        ts = mk(rows, relaxed=True)
+        offsets = tuple(rng.randint(0, t.jitter) for t in ts)
+        horizon = rng.randint(max(t.period for t in ts), 120)
+        jobs, resumptions, idle = unit_step_schedule(ts, horizon, offsets)
+        late = [job[0] for job in jobs if job[1] == 0 and job[5] > horizon]
+        if late:
+            first = next(t.id for t in ts if t.id in late)
+            with pytest.raises(HorizonTooShort, match=re.escape(
+                    f"first job of task {first} unfinished at horizon "
+                    f"{horizon}")):
+                simulate(ts, SimConfig(horizon, offsets))
+            too_short += 1
+            continue
+        trace = simulate(ts, SimConfig(horizon, offsets))
+        assert list(trace.jobs) == jobs
+        assert trace.preemption_count == resumptions
+        assert trace.idle_intervals == idle
+        for t in ts:
+            assert trace.response_times[t.id] == max(
+                job[5] - job[3] for job in jobs if job[0] == t.id)
+        compared += 1
+        preempted += resumptions > 0
+    assert (compared, preempted, too_short) == (1962, 1054, 38)
 
 
 def remaining_wcet(ts, task_id):
