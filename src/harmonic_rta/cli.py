@@ -22,10 +22,11 @@ from .experiments import (
     DEFAULT_SIM_JOB_CAP,
     feasibility_sweep,
     heuristic_quality,
+    method_result,
     method_values,
     oracle_cross_check,
 )
-from .feasibility import solve_feasibility, wcrt_virtual_jitter
+from .feasibility import solve_feasibility
 from .generator import (
     GenConfig,
     Rng,
@@ -33,13 +34,7 @@ from .generator import (
     generate_interference_set,
     generate_with_target,
 )
-from .harmonic import (
-    _first_jittered,
-    shared_jitter,
-    wcrt_exclusion_model,
-    wcrt_harmonic,
-    wcrt_uniform_jitter,
-)
+from .harmonic import _first_jittered
 from .model import (
     TaskModelError,
     TaskSet,
@@ -48,7 +43,7 @@ from .model import (
     tasks_from_dict,
     tasks_to_dict,
 )
-from .rta import wcrt_fixed_point, wcrt_fixed_point_jitter
+from .rta import wcrt_fixed_point_jitter
 from .simulator import HorizonTooShort, SimConfig, simulate
 
 METHODS = ("harmonic", "uniform-jitter", "fixed-point", "fixed-point-jitter",
@@ -124,14 +119,6 @@ class AnalysisReport:
                     "wcrt_decimal,schedulable,steps", lines)
 
 
-def _require_jitter_free(ts: TaskSet, target_index: int, method: str) -> None:
-    task = _first_jittered(ts, target_index)
-    if task is not None:
-        raise CliError(
-            f"method {method} requires a jitter-free task set, but task "
-            f"{task.id} has jitter {task.jitter}")
-
-
 def _row(task, method, wcrt=None, schedulable=None, steps=None) -> ReportRow:
     """The report row of one task; no wcrt marks an infeasible verdict."""
     return ReportRow(task.id, task.period, int(task.wcet), task.deadline,
@@ -139,28 +126,10 @@ def _row(task, method, wcrt=None, schedulable=None, steps=None) -> ReportRow:
 
 
 def _analyze_one(ts: TaskSet, index: int, method: str) -> ReportRow:
-    task = ts[index]
-    if method == "harmonic":
-        result, _ = wcrt_harmonic(ts, index)
-    elif method == "uniform-jitter":
-        result, _ = wcrt_uniform_jitter(ts, index, shared_jitter(ts, index))
-    elif method == "fixed-point":
-        _require_jitter_free(ts, index, method)
-        result = wcrt_fixed_point(ts, index)
-    elif method == "exclusion":
-        result = wcrt_exclusion_model(ts, index)
-    elif method == "virtual-jitter" and index > 0:
-        feas = solve_feasibility(ts, index)
-        if not feas.is_feasible:
-            return _row(task, method)
-        result = wcrt_virtual_jitter(ts, index, feas)
-    elif method in ("fixed-point-jitter", "virtual-jitter"):
-        # Virtual jitter at index 0 has no interference to shift; the plain
-        # jitter-aware fixed point is already exact.
-        result = wcrt_fixed_point_jitter(ts, index)
-    else:
-        raise CliError(f"unknown method {method!r}")
-    return _row(task, method, result.wcrt, result.schedulable,
+    result = method_result(ts, index, method)
+    if result is None:
+        return _row(ts[index], method)
+    return _row(ts[index], method, result.wcrt, result.schedulable,
                 result.iterations)
 
 
@@ -190,17 +159,12 @@ def _cross_validate(ts: TaskSet, index: int, primary: str, primary_wcrt,
     """Exact-agreement self-check of every method applicable to this target."""
     jittered = _first_jittered(ts, index) is not None
     known = {primary: primary_wcrt}
-    if (primary, index) == ("virtual-jitter", 0):
-        # Virtual jitter at index 0 is the jitter-aware fixed point itself.
-        known["fixed-point-jitter"] = None
-    elif fixed_points:
+    if fixed_points:
         # The simulation horizon has already computed it for every task;
         # with no jitter up to the target it is the plain fixed point.
         name = "fixed-point-jitter" if jittered else "fixed-point"
         known[name] = fixed_points[index]
     values = method_values(ts, index, jittered, known)
-    values.update((name, wcrt) for name, wcrt in known.items()
-                  if wcrt is not None)
     if len(set(values.values())) > 1:
         detail = ", ".join(f"{name}={value}" for name, value in
                            sorted(values.items()))

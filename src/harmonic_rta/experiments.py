@@ -31,6 +31,8 @@ from .generator import (
     generate_with_target,
 )
 from .harmonic import (
+    JitterPresent,
+    _first_jittered,
     check_restricted_jitter,
     shared_jitter,
     wcrt_exclusion_model,
@@ -38,7 +40,7 @@ from .harmonic import (
     wcrt_jitter_bounds,
     wcrt_uniform_jitter,
 )
-from .model import TaskSet
+from .model import TaskSet, ordered_view
 from .rta import wcrt_fixed_point, wcrt_fixed_point_jitter
 from .simulator import SimConfig, simulate
 
@@ -242,39 +244,72 @@ def first_job_sim_horizon(ts: TaskSet, response: Fraction) -> int:
     return max(longest, int(response) + 2)
 
 
+def _runs_as(method: str, index: int) -> str:
+    """The method whose run gives `method`'s value at `index`: virtual
+    jitter at index 0 has no interference to shift, so the plain
+    jitter-aware fixed point is already exact there."""
+    return ("fixed-point-jitter" if (method, index) == ("virtual-jitter", 0)
+            else method)
+
+
+def method_result(ts: TaskSet, index: int, method: str):
+    """The RtaResult of one analysis method, by CLI name, or None when the
+    greedy shift solver finds no solution for virtual jitter.
+
+    Uniform jitter runs at `shared_jitter`.  `fixed-point` raises
+    JitterPresent when the target or a task above it has jitter.
+    """
+    method = _runs_as(method, index)
+    if method == "virtual-jitter":
+        feas = solve_feasibility(ts, index)
+        return (wcrt_virtual_jitter(ts, index, feas) if feas.is_feasible
+                else None)
+    if method == "fixed-point-jitter":
+        return wcrt_fixed_point_jitter(ts, index)
+    if method == "harmonic":
+        return wcrt_harmonic(ts, index)[0]
+    if method == "uniform-jitter":
+        return wcrt_uniform_jitter(ts, index, shared_jitter(ts, index))[0]
+    if method == "exclusion":
+        return wcrt_exclusion_model(ts, index)
+    ordered_view(ts, index)  # an index out of range fails before the scan
+    task = _first_jittered(ts, index)
+    if task is not None:
+        raise JitterPresent(
+            f"method fixed-point requires a jitter-free task set, but task "
+            f"{task.id} has jitter {task.jitter}")
+    return wcrt_fixed_point(ts, index)
+
+
 def method_values(ts: TaskSet, index: int, jittered: bool,
-                  skip=()) -> dict:
+                  known=None) -> dict:
     """The WCRT of every exact method that applies to one target, by name.
 
     Jitter-free targets: the staged iteration, the classic fixed point and
     the exclusion model.  Jittered targets: the jitter-aware fixed point,
     then, if the target has higher-priority tasks, the virtual-jitter WCRT
-    when the shift system is feasible and the uniform-jitter WCRT at the
-    shared jitter when the restricted condition holds.  All values must be
-    equal; ``analyze --cross-validate`` and ``oracle-cross-check`` both
-    check this set.  The methods named in `skip`, whose values the caller
-    already has, are left out.
+    when the shift system is feasible and the uniform-jitter WCRT when the
+    restricted condition holds.  All values must be equal;
+    ``analyze --cross-validate`` and ``oracle-cross-check`` both check
+    this set.  `known` maps method names to the values the caller already
+    has (None for no value); those methods are not run again, and the
+    known values join the result.
     """
+    known = known or {}
+    ran = {_runs_as(name, index) for name in known}
+    names = (("harmonic", "fixed-point", "exclusion") if not jittered
+             else ("fixed-point-jitter",) if index == 0
+             else ("fixed-point-jitter", "virtual-jitter", "uniform-jitter"))
     values = {}
-    if not jittered:
-        if "harmonic" not in skip:
-            values["harmonic"] = wcrt_harmonic(ts, index)[0].wcrt
-        if "fixed-point" not in skip:
-            values["fixed-point"] = wcrt_fixed_point(ts, index).wcrt
-        if "exclusion" not in skip:
-            values["exclusion"] = wcrt_exclusion_model(ts, index).wcrt
-        return values
-    if "fixed-point-jitter" not in skip:
-        values["fixed-point-jitter"] = wcrt_fixed_point_jitter(ts, index).wcrt
-    if index > 0:
-        if "virtual-jitter" not in skip:
-            feas = solve_feasibility(ts, index)
-            if feas.is_feasible:
-                values["virtual-jitter"] = wcrt_virtual_jitter(ts, index,
-                                                               feas).wcrt
-        if "uniform-jitter" not in skip and check_restricted_jitter(ts, index):
-            values["uniform-jitter"] = wcrt_uniform_jitter(
-                ts, index, shared_jitter(ts, index))[0].wcrt
+    for name in names:
+        if name in ran or (name == "uniform-jitter"
+                           and not check_restricted_jitter(ts, index)):
+            continue
+        result = method_result(ts, index, name)
+        if result is not None:
+            values[name] = result.wcrt
+    values.update((name, wcrt) for name, wcrt in known.items()
+                  if wcrt is not None)
     return values
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import gt, mul
 
-from .harmonic import _staged_rta, _staged_run
+from .harmonic import _staged_rta
 from .model import OrderedView, TaskSet, ordered_view
 from .rta import RtaResult
 
@@ -329,6 +329,5 @@ def wcrt_virtual_jitter(ts: TaskSet, target_index: int,
             f"target has {len(view.order)}")
     target = ts[target_index]
     const = view.target_wcet - sum(map(mul, fr.m, view.wcets))
-    stages, ceils, _ = _staged_run(view, const,
-                                   view.scaled(fr.virtual_jitter_max))
-    return _staged_rta(target.deadline - target.jitter, stages, ceils)
+    return _staged_rta(view, const, view.scaled(fr.virtual_jitter_max),
+                       target.deadline - target.jitter)

@@ -89,44 +89,42 @@ def _staged_fixed_point(view: OrderedView, const: int, jitter: int,
     return reach, free
 
 
-def _staged_run(view: OrderedView, const: int, jitter: int,
-                early_stop: bool = True):
-    """(stage_values, ceil_evals, early_stop_stage) of one staged run.
+def _staged_rta(view: OrderedView, const: int, jitter: int, budget,
+                early_stop: bool = True) -> RtaResult:
+    """The RtaResult of one staged run against a deadline budget.
 
-    One ceiling per computed stage.  A run that stopped early holds at
-    most one value per task, the base value included, and their count is
-    the number of the stage it skipped.
+    Its trace holds the stage values, base value first, and its iteration
+    count is the ceilings spent, one per computed stage.  The last stage
+    value is reduced, so its margin (budget*den - num)/den is reduced as it
+    stands.
     """
     values = []
     _staged_fixed_point(view, const, jitter, early_stop, values)
-    stages = len(values)
-    return (tuple(values), stages - 1,
-            stages if stages <= len(view.periods) else None)
-
-
-def _staged_rta(budget: int, stages: tuple, ceil_evals: int) -> RtaResult:
-    """RtaResult.within(budget, stages[-1], ...) for a staged run.
-
-    The last stage value is reduced, so its margin (budget*den - num)/den
-    is reduced as it stands.
-    """
-    wcrt = stages[-1]
+    wcrt = values[-1]
     den = wcrt.denominator
     slack = budget * den - wcrt.numerator
-    return RtaResult(wcrt, ceil_evals, stages, slack >= 0,
+    return RtaResult(wcrt, len(values) - 1, tuple(values), slack >= 0,
                      _reduced(slack, den))
 
 
 def _staged_result(ts: TaskSet, target_index: int, jitter,
                    early_stop: bool, jitter_aware: bool):
-    target = ts[target_index]
+    """(RtaResult, HarmonicIterationTrace) at one uniform jitter.  A method
+    that is not jitter-aware rejects jitters up to the target."""
     view = ordered_view(ts, target_index, extra=(jitter,))
+    if not jitter_aware:
+        _reject_jitters(ts, target_index)
     view.require_harmonic()
-    stages, ceils, stopped = _staged_run(
-        view, view.target_wcet, view.scaled(jitter), early_stop)
+    target = ts[target_index]
     budget = target.deadline - (target.jitter if jitter_aware else 0)
-    return (_staged_rta(budget, stages, ceils),
-            HarmonicIterationTrace(stages, ceils, stopped))
+    result = _staged_rta(view, view.target_wcet, view.scaled(jitter), budget,
+                         early_stop)
+    # A run that stopped early holds at most one value per task, the base
+    # value included, and their count is the number of the stage it skipped.
+    stages = len(result.trace)
+    return result, HarmonicIterationTrace(
+        result.trace, result.iterations,
+        stages if stages <= len(view.periods) else None)
 
 
 def _first_jittered(ts: TaskSet, target_index: int):
@@ -153,7 +151,6 @@ def wcrt_harmonic(ts: TaskSet, target_index: int, early_stop: bool = True):
     every harmonic input.  Raises JitterPresent when the target or one of its
     higher-priority tasks carries jitter.
     """
-    _reject_jitters(ts, target_index)
     return _staged_result(ts, target_index, 0, early_stop, jitter_aware=False)
 
 
@@ -196,8 +193,8 @@ def wcrt_exclusion_model(ts: TaskSet, target_index: int) -> RtaResult:
     strictly-smaller-period tasks.  Its least fixed point coincides with the
     ordinary one, which is what carves the exclusion intervals.
     """
-    _reject_jitters(ts, target_index)
     view = ordered_view(ts, target_index)
+    _reject_jitters(ts, target_index)
     return _shifted_fixed_point(ts[target_index], view, view.suffix_wcet)
 
 
@@ -208,8 +205,8 @@ def wcrt_with_delays(ts: TaskSet, target_index: int, delta) -> RtaResult:
     in [0, cumulative_wcet[k]]; any such shift leaves the least fixed point
     unchanged.  Raises DeltaOutOfRange naming the offending position.
     """
-    _reject_jitters(ts, target_index)
     view = ordered_view(ts, target_index, extra=delta)
+    _reject_jitters(ts, target_index)
     if len(delta) != len(view.order):
         raise DeltaOutOfRange(
             f"need {len(view.order)} shifts, got {len(delta)}")

@@ -137,8 +137,8 @@ def wcrt_fixed_point_jitter(ts: TaskSet, target_index: int, start=None) -> RtaRe
     iff wcrt <= deadline - target jitter (the response is measured from
     release; arrival-to-deadline adds the target's own jitter).
     """
-    target = ts[target_index]
     view = ordered_view(ts, target_index)
+    target = ts[target_index]
     return RtaResult.within(target.deadline - target.jitter, *_iterate(
         view, tuple([-j for j in view.jitters]), start))
 

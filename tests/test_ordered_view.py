@@ -22,6 +22,9 @@ from harmonic_rta import (
     wcrt_virtual_jitter,
     wcrt_with_delays,
 )
+from harmonic_rta.cli import METHODS
+from harmonic_rta.experiments import method_result
+from harmonic_rta.feasibility import FEASIBLE, FeasibilityResult
 from harmonic_rta.harmonic import shared_jitter
 from harmonic_rta.model import OrderedView, ordered_view
 from conftest import mk
@@ -242,6 +245,44 @@ def test_bad_targets_raise_every_time():
             pi_order(ts, 1.0)
         with pytest.raises(TypeError):
             check_restricted_jitter(ts, Fraction(1))
+
+
+PER_TARGET = {
+    "pi_order": pi_order,
+    "wcrt_fixed_point": wcrt_fixed_point,
+    "wcrt_fixed_point_jitter": wcrt_fixed_point_jitter,
+    "wcrt_harmonic": wcrt_harmonic,
+    "wcrt_uniform_jitter": lambda ts, k: wcrt_uniform_jitter(ts, k, 0),
+    "wcrt_uniform_jitter_rational":
+        lambda ts, k: wcrt_uniform_jitter(ts, k, Fraction(7, 3)),
+    "wcrt_jitter_bounds": wcrt_jitter_bounds,
+    "wcrt_exclusion_model": wcrt_exclusion_model,
+    "wcrt_with_delays": lambda ts, k: wcrt_with_delays(ts, k, ()),
+    "shared_jitter": shared_jitter,
+    "check_restricted_jitter": check_restricted_jitter,
+    "solve_feasibility": solve_feasibility,
+    "brute_force_feasibility": brute_force_feasibility,
+    "wcrt_virtual_jitter": lambda ts, k: wcrt_virtual_jitter(
+        ts, k, FeasibilityResult(FEASIBLE, (1,), 0, None, ())),
+    **{f"method_result[{method}]":
+       lambda ts, k, method=method: method_result(ts, k, method)
+       for method in METHODS if method != "simulate"},
+}
+
+
+@pytest.mark.parametrize("jittered", [True, False],
+                         ids=["jittered", "jitter-free"])
+@pytest.mark.parametrize("past_end", [True, False], ids=["n", "-1"])
+@pytest.mark.parametrize("name", sorted(PER_TARGET))
+def test_out_of_range_targets_raise_index_error(name, past_end, jittered,
+                                                 table1):
+    # Every analysis checks the index before it scans for jitter or reads
+    # the target.
+    ts = table1 if jittered else mk(
+        [(t.period, t.wcet, 0, t.deadline) for t in table1])
+    k = len(ts) if past_end else -1
+    with pytest.raises(IndexError, match=f"^target index {k} out of range$"):
+        PER_TARGET[name](ts, k)
 
 
 def _fields(view):
