@@ -351,6 +351,9 @@ def cmd_experiment(args) -> int:
     least_n = 2 if args.name == "oracle-cross-check" else 1
     if args.n is not None and args.n < least_n:
         raise CliError(f"--n must be >= {least_n} for {args.name}")
+    # Every set has at least two tasks, so its simulation at least two jobs.
+    if args.sim_job_cap is not None and args.sim_job_cap < 2:
+        raise CliError("--sim-job-cap must be >= 2")
     if args.jobs < 1:
         raise CliError("--jobs must be >= 1")
     if args.name == "heuristic-quality":

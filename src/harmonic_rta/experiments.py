@@ -260,6 +260,19 @@ def method_result(ts: TaskSet, index: int, method: str):
     JitterPresent when the target or a task above it has jitter.
     """
     method = _runs_as(method, index)
+    if method == "fixed-point":
+        ordered_view(ts, index)  # an index out of range fails before the scan
+        task = _first_jittered(ts, index)
+        if task is not None:
+            raise JitterPresent(
+                f"method fixed-point requires a jitter-free task set, but "
+                f"task {task.id} has jitter {task.jitter}")
+    return _run_method(ts, index, method)
+
+
+def _run_method(ts: TaskSet, index: int, method: str):
+    """method_result for a name `_runs_as` leaves as it is, without the
+    fixed-point guard."""
     if method == "virtual-jitter":
         feas = solve_feasibility(ts, index)
         return (wcrt_virtual_jitter(ts, index, feas) if feas.is_feasible
@@ -272,12 +285,6 @@ def method_result(ts: TaskSet, index: int, method: str):
         return wcrt_uniform_jitter(ts, index, shared_jitter(ts, index))[0]
     if method == "exclusion":
         return wcrt_exclusion_model(ts, index)
-    ordered_view(ts, index)  # an index out of range fails before the scan
-    task = _first_jittered(ts, index)
-    if task is not None:
-        raise JitterPresent(
-            f"method fixed-point requires a jitter-free task set, but task "
-            f"{task.id} has jitter {task.jitter}")
     return wcrt_fixed_point(ts, index)
 
 
@@ -291,12 +298,16 @@ def method_values(ts: TaskSet, index: int, jittered: bool,
     when the shift system is feasible and the uniform-jitter WCRT when the
     restricted condition holds.  All values must be equal;
     ``analyze --cross-validate`` and ``oracle-cross-check`` both check
-    this set.  `known` maps method names to the values the caller already
+    this set.  `jittered` must say whether the target or a task above it
+    has jitter.  `known` maps method names to the values the caller already
     has (None for no value); those methods are not run again, and the
     known values join the result.
     """
     known = known or {}
     ran = {_runs_as(name, index) for name in known}
+    # Every name below is its own `_runs_as` (virtual jitter is left out at
+    # index 0), and `jittered` already settles the fixed-point guard, so
+    # each runs directly.
     names = (("harmonic", "fixed-point", "exclusion") if not jittered
              else ("fixed-point-jitter",) if index == 0
              else ("fixed-point-jitter", "virtual-jitter", "uniform-jitter"))
@@ -305,7 +316,7 @@ def method_values(ts: TaskSet, index: int, jittered: bool,
         if name in ran or (name == "uniform-jitter"
                            and not check_restricted_jitter(ts, index)):
             continue
-        result = method_result(ts, index, name)
+        result = _run_method(ts, index, name)
         if result is not None:
             values[name] = result.wcrt
     values.update((name, wcrt) for name, wcrt in known.items()

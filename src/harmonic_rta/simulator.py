@@ -23,9 +23,11 @@ placed are the processor's idle intervals.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from itertools import count, repeat
 from math import inf
-from operator import itemgetter
+from operator import itemgetter, sub
 from typing import NamedTuple
 
 from .model import TaskSet
@@ -70,20 +72,82 @@ class Job(NamedTuple):
 _new_job = tuple.__new__
 
 
+class JobRecords(Sequence):
+    """The jobs of one simulation: a read-only sequence of Job records.
+
+    It holds each task's release, start and finish times, one list each,
+    and builds the Job tuples on the first index or iteration, in
+    (release, finish, task id) order, keeping them for later reads.  `len`
+    and SimTrace.first_response build none.  It compares equal to, and
+    prints as, the tuple of those records.
+    """
+
+    __slots__ = ("_levels", "_count", "_jobs")
+
+    def __init__(self, levels: dict, count: int):
+        # task id -> (offset, releases, starts, finishes), priority order.
+        self._levels = levels
+        self._count = count
+        self._jobs = None
+
+    def __len__(self) -> int:
+        return self._count
+
+    def __getitem__(self, index):
+        return self._records()[index]
+
+    def __iter__(self):
+        return iter(self._records())
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, JobRecords):
+            other = other._records()
+        return self._records() == other
+
+    def __repr__(self) -> str:
+        return repr(self._records())
+
+    def _records(self) -> tuple[Job, ...]:
+        jobs = self._jobs
+        if jobs is None:
+            jobs = self._jobs = self._build()
+        return jobs
+
+    def _build(self) -> tuple[Job, ...]:
+        jobs = []
+        for task_id, (off, releases, starts, finishes) in self._levels.items():
+            arrivals = releases.copy()
+            arrivals[0] = -off
+            jobs += map(_new_job, repeat(Job), zip(
+                repeat(task_id), count(), arrivals, releases, starts,
+                finishes))
+        # Stable on release: jobs released together stay in priority order,
+        # which is their finish order, so this is (release, finish, task id).
+        jobs.sort(key=itemgetter(3))
+        return tuple(jobs)
+
+
 @dataclass(frozen=True)
 class SimTrace:
-    """Full schedule: jobs, per-task maximum response times, preemptions."""
+    """Full schedule: jobs, per-task maximum response times, preemptions.
 
-    jobs: tuple[Job, ...]
+    `jobs` builds its Job records only when read (see JobRecords); the job
+    count and `first_response` need none.
+    """
+
+    jobs: JobRecords
     response_times: dict
     preemption_count: int
     idle_intervals: tuple[tuple[int, int], ...] = field(default_factory=tuple)
 
     def first_response(self, task_id: str) -> int:
-        for job in self.jobs:
-            if job.task_id == task_id and job.job_index == 0:
-                return job.response
-        raise KeyError(f"no first job recorded for task {task_id!r}")
+        """The response of the task's first job: its finish, as it is
+        released at 0."""
+        try:
+            return self.jobs._levels[task_id][3][0]
+        except KeyError:
+            raise KeyError(
+                f"no first job recorded for task {task_id!r}") from None
 
     def to_tsv(self) -> str:
         """One line per job: task, job, arrival, release, start, finish."""
@@ -104,24 +168,35 @@ def simulate(ts: TaskSet, cfg: SimConfig) -> SimTrace:
     the horizon is exact for this finite workload (no further releases
     exist to preempt it).  HorizonTooShort is raised iff some task's first
     job (the analyzed one under the worst-case release pattern) fails to
-    finish by the horizon; it names the highest-priority such task.  Jobs
-    are listed by (release, finish, task id).
+    finish by the horizon; it names the highest-priority such task.  The
+    horizon, the offsets and the wcets must be ints.
     """
-    n = len(ts)
-    offsets = cfg.release_offsets if cfg.release_offsets is not None else (0,) * n
-    if len(offsets) != n:
-        raise ValueError(f"need {n} release offsets, got {len(offsets)}")
-    for task, off in zip(ts, offsets):
-        if not 0 <= off <= task.jitter:
-            raise ValueError(
-                f"offset {off} of task {task.id} outside [0, jitter={task.jitter}]")
+    tasks = ts.tasks
+    n = len(tasks)
+    offsets = cfg.release_offsets
+    if offsets is None:
+        # Zero offsets are ints within every task's jitter.
+        offsets = (0,) * n
+    else:
+        if len(offsets) != n:
+            raise ValueError(f"need {n} release offsets, got {len(offsets)}")
+        for task, off in zip(tasks, offsets):
+            if type(off) is not int:
+                raise ValueError(f"task {task.id}: simulation needs integer "
+                                 f"offsets, got {off!r}")
+            if not 0 <= off <= task.jitter:
+                raise ValueError(f"offset {off} of task {task.id} outside "
+                                 f"[0, jitter={task.jitter}]")
+    for task in tasks:
         if type(task.wcet) is not int:
             raise ValueError(
                 f"task {task.id}: simulation needs integer wcets, got {task.wcet!r}")
     if cfg.arrival_policy != ARRIVAL_MIN_SPACING:
         raise ValueError(f"unknown arrival policy {cfg.arrival_policy!r}")
     horizon = cfg.horizon
-    if horizon < max(t.period for t in ts):
+    if type(horizon) is not int:
+        raise ValueError(f"simulation needs an integer horizon, got {horizon!r}")
+    if horizon < max([task.period for task in tasks]):
         raise ValueError("horizon must be at least the largest period")
 
     # Processor time not taken by the levels placed so far: disjoint,
@@ -130,18 +205,20 @@ def simulate(ts: TaskSet, cfg: SimConfig) -> SimTrace:
     starts = [0]
     ends = [inf]
     preemptions = 0
-    jobs = []
+    job_count = 0
+    levels = {}
     response_times: dict = {}
-    for task, off in zip(ts, offsets):
+    for task, off in zip(tasks, offsets):
         task_id = task.id
         period = task.period
         wcet = task.wcet
-        k = 0
-        arrival = -off
-        release = 0
-        worst = 0
+        # Job 0 arrives at -off and releases at 0; job k >= 1 arrives and
+        # releases at k*period - off, while that is before the horizon.
+        releases = [0, *range(period - off, horizon, period)]
+        job_starts = []
+        finishes = []
         m = 0
-        while True:
+        for release in releases:
             # The first free interval m ending after the release.  Releases
             # only grow, and every interval before the previous job's m ends
             # at or before that job's release, so the search starts there.
@@ -186,23 +263,15 @@ def simulate(ts: TaskSet, cfg: SimConfig) -> SimTrace:
                     m += 1
                 del starts[m:stop]
                 del ends[m:stop]
-            if k == 0 and finish > horizon:
-                raise HorizonTooShort(
-                    f"first job of task {task_id} unfinished at horizon "
-                    f"{horizon}")
-            jobs.append(_new_job(Job, (task_id, k, arrival, release, start,
-                                       finish)))
-            if finish - release > worst:
-                worst = finish - release
-            k += 1
-            arrival += period
-            if arrival >= horizon:
-                break
-            release = arrival
-        response_times[task_id] = worst
+            job_starts.append(start)
+            finishes.append(finish)
+        if finishes[0] > horizon:
+            raise HorizonTooShort(
+                f"first job of task {task_id} unfinished at horizon {horizon}")
+        levels[task_id] = off, releases, job_starts, finishes
+        job_count += len(releases)
+        response_times[task_id] = max(map(sub, finishes, releases))
 
-    # Stable on release: jobs released together stay in priority order,
-    # which is their finish order, so this is (release, finish, task id).
-    jobs.sort(key=itemgetter(3))
     idle = tuple(zip(starts[:-1], ends[:-1]))
-    return SimTrace(tuple(jobs), response_times, preemptions, idle)
+    return SimTrace(JobRecords(levels, job_count), response_times,
+                    preemptions, idle)

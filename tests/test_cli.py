@@ -411,6 +411,13 @@ def test_generate_flag_validation(capsys):
      "--jobs must be >= 1"),
     (["experiment", "oracle-cross-check", "--n", "1"],
      "--n must be >= 2 for oracle-cross-check"),
+    # Every set simulates at least two first jobs: no draw could fit.
+    (["experiment", "oracle-cross-check", "--sim-job-cap", "1"],
+     "--sim-job-cap must be >= 2"),
+    (["experiment", "oracle-cross-check", "--sim-job-cap", "0"],
+     "--sim-job-cap must be >= 2"),
+    (["experiment", "oracle-cross-check", "--sim-job-cap", "-5"],
+     "--sim-job-cap must be >= 2"),
     (["generate", "--n", "3", "--base-period", "0"],
      "base period must be >= 1"),
 ])
@@ -434,12 +441,14 @@ def test_ignored_experiment_flags_exit_two_with_one_line(argv, flag, capsys):
     assert err == f"error: {flag} does not apply to {argv[0]}\n"
 
 
-def test_unreachable_job_cap_exits_two_with_one_line(capsys):
-    # Every set schedules at least two jobs, so no draw fits the cap.
+def test_unreachable_job_cap_exits_two_with_one_line(capsys, monkeypatch):
+    # Every simulation counted at 3 jobs: no draw fits the cap of 2.
+    monkeypatch.setattr(experiments, "simulation_job_count",
+                        lambda ts, horizon: 3)
     rc, out, err = run_cli(["experiment", "oracle-cross-check", "--sets", "1",
-                            "--sim-job-cap", "1"], capsys)
+                            "--sim-job-cap", "2"], capsys)
     assert (rc, out) == (2, "")
-    assert err == ("error: no set within the simulation job cap 1 in 1000 "
+    assert err == ("error: no set within the simulation job cap 2 in 1000 "
                    "attempts\n")
 
 
@@ -597,17 +606,22 @@ def test_flag_and_sampling_errors_exit_two_under_optimize():
     # The flag checks and the redraw budget must not rest on asserts.
     proc = _run_optimized("""
         import sys
+        import harmonic_rta.experiments as experiments
         from harmonic_rta import main
+        experiments.simulation_job_count = lambda ts, horizon: 3
         codes = [main(["experiment", "feasibility-sweep", "--sets", "-3"]),
+                 main(["experiment", "oracle-cross-check", "--sim-job-cap",
+                       "1"]),
                  main(["experiment", "oracle-cross-check", "--sets", "1",
-                       "--sim-job-cap", "1"])]
-        sys.exit(0 if codes == [2, 2] else 1)
+                       "--sim-job-cap", "2"])]
+        sys.exit(0 if codes == [2, 2, 2] else 1)
     """)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [
         "error: --sets must be >= 1",
-        "error: no set within the simulation job cap 1 in 1000 attempts"]
+        "error: --sim-job-cap must be >= 2",
+        "error: no set within the simulation job cap 2 in 1000 attempts"]
 
 
 def test_horizon_too_short_exits_two_under_optimize(table1_file):

@@ -1,6 +1,8 @@
 """Discrete-event scheduler: frozen traces, discipline invariants, oracles."""
 
 import re
+from collections.abc import Sequence
+from fractions import Fraction
 from operator import itemgetter
 
 import pytest
@@ -11,9 +13,11 @@ from harmonic_rta import (
     SimConfig,
     SimTrace,
     simulate,
+    simulation_job_count,
     wcrt_fixed_point_jitter,
     wcrt_harmonic,
 )
+from harmonic_rta.simulator import JobRecords
 from conftest import mk
 from oracles import adversarial_response, unit_step_schedule
 
@@ -55,6 +59,21 @@ def test_offsets_must_respect_jitter(table1):
         simulate(table1, SimConfig(horizon=720, release_offsets=tuple(bad)))
     with pytest.raises(ValueError):
         simulate(table1, SimConfig(horizon=720, release_offsets=(0,)))
+
+
+@pytest.mark.parametrize("horizon, offsets, message", [
+    (360.0, None, "simulation needs an integer horizon, got 360.0"),
+    (Fraction(360), None,
+     "simulation needs an integer horizon, got Fraction(360, 1)"),
+    (360, (Fraction(1, 2), 0, 0, 0, 0, 0),
+     "task t1: simulation needs integer offsets, got Fraction(1, 2)"),
+    (360, (0, 0, 9.0, 0, 0, 0),
+     "task t3: simulation needs integer offsets, got 9.0"),
+])
+def test_horizon_and_offsets_must_be_ints(table1, horizon, offsets, message):
+    # Exact integer times: a float or Fraction would make them rational.
+    with pytest.raises(ValueError, match=re.escape(message)):
+        simulate(table1, SimConfig(horizon, offsets))
 
 
 def test_horizon_too_short():
@@ -220,3 +239,54 @@ def test_simulation_matches_staged_on_critical_instant():
         horizon = max(periods[0], int(plain.wcrt) + 1)
         trace = simulate(ts, SimConfig(horizon=horizon))
         assert trace.first_response(ts[target].id) == plain.wcrt
+
+
+def _no_build(self):
+    raise RuntimeError("job records built")
+
+
+def test_job_count_and_first_response_build_no_record(table1, monkeypatch):
+    monkeypatch.setattr(JobRecords, "_build", _no_build)
+    trace = simulate(table1, SimConfig(horizon=360))
+    count = len(trace.jobs)
+    firsts = {t.id: trace.first_response(t.id) for t in table1}
+    with pytest.raises(RuntimeError, match="job records built"):
+        trace.jobs[0]
+    monkeypatch.undo()
+    assert count == simulation_job_count(table1, 360) == len(list(trace.jobs))
+    assert firsts == {job.task_id: job.response for job in trace.jobs
+                      if job.job_index == 0}
+
+
+def test_job_records_read_as_their_tuple(table1):
+    offsets = tuple(t.jitter for t in table1)
+    expected = tuple(unit_step_schedule(table1, 360, offsets)[0])
+    # A first read by a negative index builds the whole sequence.
+    jobs = simulate(table1, SimConfig(360, offsets)).jobs
+    assert jobs[-1] == expected[-1]
+    assert isinstance(jobs, Sequence)
+    assert len(jobs) == len(expected) == 34
+    assert jobs[0] == expected[0]
+    assert jobs[-len(jobs)] == expected[0]
+    assert jobs[3:9] == expected[3:9]
+    assert jobs[::-5] == expected[::-5]
+    with pytest.raises(IndexError):
+        jobs[len(jobs)]
+    assert list(jobs) == list(expected)
+    assert jobs.index(expected[7]) == 7
+    # Equal to the built tuple both ways round, and to a second trace's jobs;
+    # unequal to any other sequence.
+    assert jobs == expected and expected == jobs
+    assert not jobs != expected and not expected != jobs
+    assert jobs != expected[:-1] and expected[:-1] != jobs
+    assert jobs != list(expected)
+    assert jobs == simulate(table1, SimConfig(360, offsets)).jobs
+    assert jobs != simulate(table1, SimConfig(360)).jobs
+    assert repr(jobs) == repr(tuple(jobs))
+    assert repr(jobs).startswith("(Job(task_id='t1', job_index=0, arrival=-8,")
+
+
+def test_first_response_unknown_task(table1):
+    trace = simulate(table1, SimConfig(horizon=360))
+    with pytest.raises(KeyError, match="no first job recorded for task 'nope'"):
+        trace.first_response("nope")

@@ -41,10 +41,9 @@ def _record(lines, fn, *args):
     return result
 
 
-def _plain_corpus_lines():
-    """The plain acceptance stream at its first-job horizons."""
+def _plain_corpus_sets():
+    """The plain acceptance stream with its first-job horizons."""
     rng = Rng(20260817)
-    lines = []
     for _ in range(PLAIN_SETS):
         while True:
             ts = random_analysis_set(rng, max_tasks=12)
@@ -52,6 +51,13 @@ def _plain_corpus_lines():
             horizon = first_job_sim_horizon(ts, result.wcrt)
             if simulation_job_count(ts, horizon) <= SIM_JOB_CAP:
                 break
+        yield ts, horizon
+
+
+def _plain_corpus_lines():
+    """The plain acceptance stream at its first-job horizons."""
+    lines = []
+    for ts, horizon in _plain_corpus_sets():
         _record(lines, simulate, ts, SimConfig(horizon=horizon))
     return lines
 
@@ -149,3 +155,12 @@ def test_traces_match_golden_digest(group):
     assert len(lines) == count
     assert _digest(lines) == digest
 
+
+
+def test_first_responses_match_built_first_jobs():
+    # Read before the job records exist, then checked against them.
+    for ts, horizon in _plain_corpus_sets():
+        trace = simulate(ts, SimConfig(horizon=horizon))
+        firsts = {task.id: trace.first_response(task.id) for task in ts}
+        assert firsts == {job.task_id: job.response for job in trace.jobs
+                          if job.job_index == 0}
