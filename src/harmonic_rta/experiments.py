@@ -387,8 +387,12 @@ def oracle_cross_check(
     `sim_job_cap` jobs are redrawn; SamplingFailed after
     SAMPLING_ATTEMPTS draws in a row), or, for jittered sets
     (constraint-satisfying by construction), the jitter bounds bracketing
-    the jitter-aware fixed point.
+    the jitter-aware fixed point.  A `sim_job_cap` below 2 raises
+    ValueError before any draw: every set has at least two tasks, so its
+    simulation at least two first jobs.
     """
+    if sim_job_cap is not None and sim_job_cap < 2:
+        raise ValueError(f"sim_job_cap must be >= 2, got {sim_job_cap}")
     args_list = [(seed + g, count, g * CHUNK_SIZE, max_tasks, jittered,
                   with_simulation, sim_job_cap)
                  for g, count in enumerate(_chunk_counts(sets))]

@@ -16,15 +16,19 @@ each job of the next task simply occupies the first C units of processor
 time left free at or after its release, and the jobs of one task run in
 release order.  Every gap in a job's execution is time taken by a
 higher-priority release, that is one preemption; a release exactly at a
-job's finish preempts nothing.  The free gaps left once every level is
-placed are the processor's idle intervals.
+job's finish preempts nothing.  Each job finds its first free interval by
+walking forward from the previous job's one, so one level's walk passes
+each free interval at most once.  The free gaps left once every level is
+placed are the processor's idle intervals.  The trace keeps each level's
+release, start and finish columns and that final free list; the job
+records, per-task maxima and idle intervals are built from them when first
+read.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count, repeat
 from math import inf
 from operator import itemgetter, sub
@@ -127,24 +131,81 @@ class JobRecords(Sequence):
         return tuple(jobs)
 
 
-@dataclass(frozen=True)
 class SimTrace:
-    """Full schedule: jobs, per-task maximum response times, preemptions.
+    """Full schedule: jobs, per-task maximum response times, preemptions
+    and idle intervals.
 
-    `jobs` builds its Job records only when read (see JobRecords); the job
-    count and `first_response` need none.
+    Only `simulate` builds one.  It keeps each task's release, start and
+    finish columns and the free list left once every level is placed.
+    `jobs` builds its Job records only when read (see JobRecords), and
+    `response_times` (task id -> largest response, in priority order) and
+    `idle_intervals` (the finite free gaps, in time order) are built on
+    their first read and kept; the job count, `first_response` and
+    `preemption_count` need none of them.  Its attributes are read-only;
+    it compares equal to a trace with equal attributes and is unhashable.
     """
 
-    jobs: JobRecords
-    response_times: dict
-    preemption_count: int
-    idle_intervals: tuple[tuple[int, int], ...] = field(default_factory=tuple)
+    __slots__ = ("_jobs", "_preemptions", "_free", "_maxima", "_idle")
+
+    def __init__(self, jobs: JobRecords, preemptions: int, free: tuple):
+        self._jobs = jobs
+        self._preemptions = preemptions
+        # (starts, ends) of the free intervals, the last one unbounded.
+        self._free = free
+        self._maxima = None
+        self._idle = None
+
+    @property
+    def jobs(self) -> JobRecords:
+        return self._jobs
+
+    @property
+    def preemption_count(self) -> int:
+        return self._preemptions
+
+    @property
+    def response_times(self) -> dict:
+        maxima = self._maxima
+        if maxima is None:
+            maxima = self._maxima = self._build_maxima()
+        return maxima
+
+    @property
+    def idle_intervals(self) -> tuple[tuple[int, int], ...]:
+        idle = self._idle
+        if idle is None:
+            idle = self._idle = self._build_idle()
+        return idle
+
+    def _build_maxima(self) -> dict:
+        return {task_id: max(map(sub, finishes, releases))
+                for task_id, (_, releases, _, finishes)
+                in self._jobs._levels.items()}
+
+    def _build_idle(self) -> tuple[tuple[int, int], ...]:
+        starts, ends = self._free
+        return tuple(zip(starts[:-1], ends[:-1]))
+
+    def _fields(self) -> tuple:
+        return (self.jobs, self.response_times, self.preemption_count,
+                self.idle_intervals)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        return (f"SimTrace(jobs={self.jobs!r}, "
+                f"response_times={self.response_times!r}, "
+                f"preemption_count={self.preemption_count!r}, "
+                f"idle_intervals={self.idle_intervals!r})")
 
     def first_response(self, task_id: str) -> int:
         """The response of the task's first job: its finish, as it is
         released at 0."""
         try:
-            return self.jobs._levels[task_id][3][0]
+            return self._jobs._levels[task_id][3][0]
         except KeyError:
             raise KeyError(
                 f"no first job recorded for task {task_id!r}") from None
@@ -207,7 +268,6 @@ def simulate(ts: TaskSet, cfg: SimConfig) -> SimTrace:
     preemptions = 0
     job_count = 0
     levels = {}
-    response_times: dict = {}
     for task, off in zip(tasks, offsets):
         task_id = task.id
         period = task.period
@@ -221,8 +281,11 @@ def simulate(ts: TaskSet, cfg: SimConfig) -> SimTrace:
         for release in releases:
             # The first free interval m ending after the release.  Releases
             # only grow, and every interval before the previous job's m ends
-            # at or before that job's release, so the search starts there.
-            m = bisect_right(ends, release, m)
+            # at or before that job's release, so the walk starts there; it
+            # passes each interval at most once per level and stops at the
+            # last, unbounded one.
+            while ends[m] <= release:
+                m += 1
             head = starts[m]
             start = head if head > release else release
             finish = start + wcet
@@ -270,8 +333,5 @@ def simulate(ts: TaskSet, cfg: SimConfig) -> SimTrace:
                 f"first job of task {task_id} unfinished at horizon {horizon}")
         levels[task_id] = off, releases, job_starts, finishes
         job_count += len(releases)
-        response_times[task_id] = max(map(sub, finishes, releases))
 
-    idle = tuple(zip(starts[:-1], ends[:-1]))
-    return SimTrace(JobRecords(levels, job_count), response_times,
-                    preemptions, idle)
+    return SimTrace(JobRecords(levels, job_count), preemptions, (starts, ends))

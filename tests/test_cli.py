@@ -734,6 +734,20 @@ def test_experiment_oracle_cross_check_small(capsys):
         assert row["methods"].startswith("harmonic+fixed-point+exclusion")
 
 
+def _no_draw(*args, **kwargs):
+    raise RuntimeError("set drawn")
+
+
+@pytest.mark.parametrize("cap", [1, 0, -5])
+def test_oracle_cross_check_rejects_cap_below_two_before_drawing(
+        monkeypatch, cap):
+    # Every set simulates at least two first jobs, so no draw can meet it.
+    monkeypatch.setattr(experiments, "random_analysis_set", _no_draw)
+    with pytest.raises(ValueError,
+                       match=rf"^sim_job_cap must be >= 2, got {cap}$"):
+        experiments.oracle_cross_check(sets=3, sim_job_cap=cap)
+
+
 def test_experiment_oracle_cross_check_jittered(capsys):
     rc, out, _ = run_cli(["experiment", "oracle-cross-check", "--sets", "5",
                           "--n", "5", "--jitter-mode", "constrained",

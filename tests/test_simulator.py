@@ -12,13 +12,15 @@ from harmonic_rta import (
     Rng,
     SimConfig,
     SimTrace,
+    main,
+    oracle_cross_check,
     simulate,
     simulation_job_count,
     wcrt_fixed_point_jitter,
     wcrt_harmonic,
 )
 from harmonic_rta.simulator import JobRecords
-from conftest import mk
+from conftest import mk, write_task_file
 from oracles import adversarial_response, unit_step_schedule
 
 
@@ -125,6 +127,28 @@ def test_schedule_invariants_random():
                 assert job.finish <= a or job.release >= b
 
 
+def _compare_with_unit_step(ts, horizon, offsets):
+    """Check simulate against the unit-step schedule; returns None when a
+    first job misses the horizon, else the number of resumptions."""
+    jobs, resumptions, idle = unit_step_schedule(ts, horizon, offsets)
+    late = [job[0] for job in jobs if job[1] == 0 and job[5] > horizon]
+    if late:
+        first = next(t.id for t in ts if t.id in late)
+        with pytest.raises(HorizonTooShort, match=re.escape(
+                f"first job of task {first} unfinished at horizon "
+                f"{horizon}")):
+            simulate(ts, SimConfig(horizon, offsets))
+        return None
+    trace = simulate(ts, SimConfig(horizon, offsets))
+    assert list(trace.jobs) == jobs
+    assert trace.preemption_count == resumptions
+    assert trace.idle_intervals == idle
+    for t in ts:
+        assert trace.response_times[t.id] == max(
+            job[5] - job[3] for job in jobs if job[0] == t.id)
+    return resumptions
+
+
 def test_simulator_matches_unit_step_schedule():
     # Non-harmonic sets, some overloaded, jitter on about half the tasks.
     rng = Rng(8128)
@@ -139,26 +163,40 @@ def test_simulator_matches_unit_step_schedule():
         ts = mk(rows, relaxed=True)
         offsets = tuple(rng.randint(0, t.jitter) for t in ts)
         horizon = rng.randint(max(t.period for t in ts), 120)
-        jobs, resumptions, idle = unit_step_schedule(ts, horizon, offsets)
-        late = [job[0] for job in jobs if job[1] == 0 and job[5] > horizon]
-        if late:
-            first = next(t.id for t in ts if t.id in late)
-            with pytest.raises(HorizonTooShort, match=re.escape(
-                    f"first job of task {first} unfinished at horizon "
-                    f"{horizon}")):
-                simulate(ts, SimConfig(horizon, offsets))
+        resumptions = _compare_with_unit_step(ts, horizon, offsets)
+        if resumptions is None:
             too_short += 1
             continue
-        trace = simulate(ts, SimConfig(horizon, offsets))
-        assert list(trace.jobs) == jobs
-        assert trace.preemption_count == resumptions
-        assert trace.idle_intervals == idle
-        for t in ts:
-            assert trace.response_times[t.id] == max(
-                job[5] - job[3] for job in jobs if job[0] == t.id)
         compared += 1
         preempted += resumptions > 0
     assert (compared, preempted, too_short) == (1962, 1054, 38)
+
+
+def test_simulator_matches_unit_step_schedule_rate_monotonic():
+    # Harmonic sets in rate-monotonic order: a short top period leaves a
+    # long free list, and the sparse lower levels walk far along it between
+    # jobs.  Some sets are overloaded, jitter on about a third of the tasks.
+    rng = Rng(4096)
+    compared = preempted = too_short = 0
+    for _ in range(300):
+        periods = [rng.randint(2, 4)]
+        while len(periods) < 6 and periods[-1] * 16 <= 1024:
+            periods.append(periods[-1] * rng.randint(2, 16))
+        rows = []
+        for i, period in enumerate(periods):
+            wcet = rng.randint(1, period // 2) if i == 0 else rng.randint(1, 3)
+            jitter = rng.randint(1, period - 1) if rng.randint(0, 2) == 0 else 0
+            rows.append((period, wcet, jitter))
+        ts = mk(rows, relaxed=True)
+        offsets = tuple(rng.randint(0, t.jitter) for t in ts)
+        horizon = rng.randint(periods[-1], 4096)
+        resumptions = _compare_with_unit_step(ts, horizon, offsets)
+        if resumptions is None:
+            too_short += 1
+            continue
+        compared += 1
+        preempted += resumptions > 0
+    assert (compared, preempted, too_short) == (296, 219, 4)
 
 
 def remaining_wcet(ts, task_id):
@@ -245,17 +283,90 @@ def _no_build(self):
     raise RuntimeError("job records built")
 
 
-def test_job_count_and_first_response_build_no_record(table1, monkeypatch):
+def _no_maxima(self):
+    raise RuntimeError("maxima built")
+
+
+def _no_idle(self):
+    raise RuntimeError("idle intervals built")
+
+
+def _forbid_trace_builds(monkeypatch):
     monkeypatch.setattr(JobRecords, "_build", _no_build)
+    monkeypatch.setattr(SimTrace, "_build_maxima", _no_maxima)
+    monkeypatch.setattr(SimTrace, "_build_idle", _no_idle)
+
+
+def test_job_count_and_first_response_build_no_record(table1, monkeypatch):
+    # The benchmark op's reads: job count, preemptions, first responses.
+    _forbid_trace_builds(monkeypatch)
     trace = simulate(table1, SimConfig(horizon=360))
     count = len(trace.jobs)
+    preemptions = trace.preemption_count
     firsts = {t.id: trace.first_response(t.id) for t in table1}
+    for field, message in (("response_times", "maxima built"),
+                           ("idle_intervals", "idle intervals built")):
+        with pytest.raises(RuntimeError, match=message):
+            getattr(trace, field)
     with pytest.raises(RuntimeError, match="job records built"):
         trace.jobs[0]
     monkeypatch.undo()
     assert count == simulation_job_count(table1, 360) == len(list(trace.jobs))
     assert firsts == {job.task_id: job.response for job in trace.jobs
                       if job.job_index == 0}
+    assert preemptions == unit_step_schedule(table1, 360, (0,) * 6)[1]
+
+
+def test_shipped_callers_build_no_record_maxima_or_idle(table1, tmp_path,
+                                                        monkeypatch, capsys):
+    # analyze --method simulate and oracle-cross-check read only the job
+    # count and first responses.
+    _forbid_trace_builds(monkeypatch)
+    path = write_task_file(tmp_path / "table1.json", table1)
+    assert main(["analyze", "--input", path, "--method", "simulate",
+                 "--target", "all"]) == 0
+    assert capsys.readouterr().out.count(",simulate,") == len(table1)
+    rows = oracle_cross_check(sets=5, max_tasks=6, seed=1)
+    assert all(row.agree and "simulate" in row.methods for row in rows)
+
+
+def test_trace_fields_are_kept_and_compared_by_value(table1):
+    offsets = tuple(t.jitter for t in table1)
+    trace = simulate(table1, SimConfig(360, offsets))
+    for field in ("jobs", "response_times", "idle_intervals"):
+        assert getattr(trace, field) is getattr(trace, field)
+    assert trace.jobs[0] is trace.jobs[0]
+    twin = simulate(table1, SimConfig(360, offsets))
+    assert trace == twin and not trace != twin
+    assert trace != simulate(table1, SimConfig(360))
+    assert trace != tuple(trace.jobs)
+    # A trace that differs from `trace` in one field only.  The maxima
+    # follow from the jobs, so a start is the job field that can differ
+    # alone.
+    levels = dict(trace.jobs._levels)
+    off, releases, starts, finishes = levels["t1"]
+    levels["t1"] = off, releases, [starts[0] + 1, *starts[1:]], finishes
+    free_starts, free_ends = trace._free
+    count = len(trace.jobs)
+    for variant in (
+            SimTrace(JobRecords(levels, count), trace.preemption_count,
+                     trace._free),
+            SimTrace(JobRecords(trace.jobs._levels, count),
+                     trace.preemption_count + 1, trace._free),
+            SimTrace(JobRecords(trace.jobs._levels, count),
+                     trace.preemption_count,
+                     ([free_starts[0] + 1, *free_starts[1:]], free_ends))):
+        differing = [field for field in ("jobs", "response_times",
+                                         "preemption_count", "idle_intervals")
+                     if getattr(variant, field) != getattr(trace, field)]
+        assert len(differing) == 1
+        assert variant != trace and not variant == trace
+    with pytest.raises(TypeError, match="unhashable type: 'SimTrace'"):
+        hash(trace)
+    for field in ("jobs", "response_times", "preemption_count",
+                  "idle_intervals"):
+        with pytest.raises(AttributeError):
+            setattr(trace, field, None)
 
 
 def test_job_records_read_as_their_tuple(table1):
