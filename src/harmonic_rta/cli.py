@@ -20,6 +20,7 @@ from fractions import Fraction
 
 from .experiments import (
     DEFAULT_SIM_JOB_CAP,
+    EXACT_METHODS,
     feasibility_sweep,
     heuristic_quality,
     method_result,
@@ -36,7 +37,6 @@ from .generator import (
 )
 from .harmonic import _first_jittered
 from .model import (
-    TaskModelError,
     TaskSet,
     load_tasks,
     read_task_document,
@@ -46,8 +46,7 @@ from .model import (
 from .rta import wcrt_fixed_point_jitter
 from .simulator import HorizonTooShort, SimConfig, simulate
 
-METHODS = ("harmonic", "uniform-jitter", "fixed-point", "fixed-point-jitter",
-           "exclusion", "virtual-jitter", "simulate")
+METHODS = (*EXACT_METHODS, "simulate")
 EXPERIMENTS = ("heuristic-quality", "feasibility-sweep", "oracle-cross-check")
 
 EXIT_OK = 0
@@ -509,8 +508,8 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (CliError, TaskModelError, ValueError, ArithmeticError,
-            OSError, SamplingFailed, HorizonTooShort) as exc:
+    except (CliError, ValueError, ArithmeticError, OSError, SamplingFailed,
+            HorizonTooShort) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -46,6 +46,10 @@ from .simulator import SimConfig, simulate
 
 CHUNK_SIZE = 1000
 
+# The analysis methods method_result runs, by CLI name.
+EXACT_METHODS = ("harmonic", "uniform-jitter", "fixed-point",
+                 "fixed-point-jitter", "exclusion", "virtual-jitter")
+
 # Sets whose simulation would schedule more jobs than this are redrawn.
 DEFAULT_SIM_JOB_CAP = 20000
 
@@ -257,7 +261,8 @@ def method_result(ts: TaskSet, index: int, method: str):
     greedy shift solver finds no solution for virtual jitter.
 
     Uniform jitter runs at `shared_jitter`.  `fixed-point` raises
-    JitterPresent when the target or a task above it has jitter.
+    JitterPresent when the target or a task above it has jitter.  A name
+    outside EXACT_METHODS raises ValueError.
     """
     method = _runs_as(method, index)
     if method == "fixed-point":
@@ -285,7 +290,10 @@ def _run_method(ts: TaskSet, index: int, method: str):
         return wcrt_uniform_jitter(ts, index, shared_jitter(ts, index))[0]
     if method == "exclusion":
         return wcrt_exclusion_model(ts, index)
-    return wcrt_fixed_point(ts, index)
+    if method == "fixed-point":
+        return wcrt_fixed_point(ts, index)
+    raise ValueError(f"unknown method {method!r}; expected one of "
+                     f"{', '.join(EXACT_METHODS)}")
 
 
 def method_values(ts: TaskSet, index: int, jittered: bool,

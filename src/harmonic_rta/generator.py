@@ -350,23 +350,20 @@ def generate_with_target(config: GenConfig, rng: Rng | None = None) -> TaskSet:
     """
     rng = Rng(config.seed) if rng is None else rng
     lo, hi = config.factor_range
-    for _ in range(SAMPLING_ATTEMPTS):
-        tasks, busy, whole = _draw_tasks(config, rng)
-        period = tasks[0].period * rng.randint(lo, hi)
-        # The headroom 1 - U is free / whole, exactly.
-        free = whole - busy
-        while free * period < 2 * whole:
-            period *= 2
-        c_hi = max(1, free * period // (2 * whole))
-        wcet = 1 if c_hi <= 1 else rng.randint(1, c_hi)
-        jitter = 0
-        if config.jitter_mode != JITTER_NONE:
-            jitter = rng.randint(0, period - 1)
-        priority = len(tasks) + 1
-        tasks.append(Task(period, wcet, period, jitter, priority,
-                          _task_id(priority)))
-        try:
-            return validate(tasks, relaxed=not config.integer_wcets)
-        except ValueError:
-            continue
-    raise SamplingFailed(_GAVE_UP)
+    tasks, busy, whole = _draw_tasks(config, rng)
+    period = tasks[0].period * rng.randint(lo, hi)
+    # The headroom 1 - U is free / whole, exactly.
+    free = whole - busy
+    while free * period < 2 * whole:
+        period *= 2
+    c_hi = max(1, free * period // (2 * whole))
+    wcet = 1 if c_hi <= 1 else rng.randint(1, c_hi)
+    jitter = 0
+    if config.jitter_mode != JITTER_NONE:
+        jitter = rng.randint(0, period - 1)
+    priority = len(tasks) + 1
+    tasks.append(Task(period, wcet, period, jitter, priority,
+                      _task_id(priority)))
+    # busy < whole and a wcet within half the headroom keep U < 1 and C < T,
+    # so the whole set passes validation.
+    return validate(tasks, relaxed=not config.integer_wcets)

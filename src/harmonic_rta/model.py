@@ -447,7 +447,15 @@ def tasks_from_dict(doc, where: str = "<input>") -> TaskSet:
 
 
 def tasks_to_dict(ts: TaskSet) -> dict:
-    """Render a TaskSet in the task-file layout (inverse of tasks_from_dict)."""
+    """Render a TaskSet in the task-file layout (inverse of tasks_from_dict).
+
+    The layout holds integer wcets only; a task whose wcet is not a whole
+    number raises TaskModelError.
+    """
+    for t in ts:
+        if t.wcet != int(t.wcet):
+            raise TaskModelError(f"task {t.id}: cannot write non-integer "
+                                 f"wcet {t.wcet} to a task file")
     return {"tasks": [
         {"id": t.id, "period": t.period, "wcet": int(t.wcet),
          "deadline": t.deadline, "jitter": t.jitter, "priority": t.priority}
@@ -457,6 +465,7 @@ def tasks_to_dict(ts: TaskSet) -> dict:
 
 def save_tasks(ts: TaskSet, path: str) -> None:
     """Write a TaskSet as a deterministic task-set file."""
+    doc = tasks_to_dict(ts)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(tasks_to_dict(ts), fh, indent=2, sort_keys=True)
+        json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")

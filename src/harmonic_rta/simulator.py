@@ -21,15 +21,15 @@ walking forward from the previous job's one, so one level's walk passes
 each free interval at most once.  The free gaps left once every level is
 placed are the processor's idle intervals.  The trace keeps each level's
 release, start and finish columns and that final free list; the job
-records, per-task maxima and idle intervals are built from them when first
-read.
+records, per-task maxima and idle intervals are built from them on first
+read and cached, with the same values an eager build would give.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import count, repeat
+from functools import cached_property
 from math import inf
 from operator import itemgetter, sub
 from typing import NamedTuple
@@ -72,59 +72,44 @@ class Job(NamedTuple):
         return self.finish - self.release
 
 
-# Builds a Job from one tuple without the Python-level __new__ call.
-_new_job = tuple.__new__
-
-
 class JobRecords(Sequence):
     """The jobs of one simulation: a read-only sequence of Job records.
 
     It holds each task's release, start and finish times, one list each,
     and builds the Job tuples on the first index or iteration, in
-    (release, finish, task id) order, keeping them for later reads.  `len`
+    (release, finish, task id) order, caching them for later reads.  `len`
     and SimTrace.first_response build none.  It compares equal to, and
     prints as, the tuple of those records.
     """
-
-    __slots__ = ("_levels", "_count", "_jobs")
 
     def __init__(self, levels: dict, count: int):
         # task id -> (offset, releases, starts, finishes), priority order.
         self._levels = levels
         self._count = count
-        self._jobs = None
 
     def __len__(self) -> int:
         return self._count
 
     def __getitem__(self, index):
-        return self._records()[index]
+        return self._records[index]
 
     def __iter__(self):
-        return iter(self._records())
+        return iter(self._records)
 
     def __eq__(self, other) -> bool:
         if isinstance(other, JobRecords):
-            other = other._records()
-        return self._records() == other
+            other = other._records
+        return self._records == other
 
     def __repr__(self) -> str:
-        return repr(self._records())
+        return repr(self._records)
 
+    @cached_property
     def _records(self) -> tuple[Job, ...]:
-        jobs = self._jobs
-        if jobs is None:
-            jobs = self._jobs = self._build()
-        return jobs
-
-    def _build(self) -> tuple[Job, ...]:
         jobs = []
-        for task_id, (off, releases, starts, finishes) in self._levels.items():
-            arrivals = releases.copy()
-            arrivals[0] = -off
-            jobs += map(_new_job, repeat(Job), zip(
-                repeat(task_id), count(), arrivals, releases, starts,
-                finishes))
+        for task_id, (off, *columns) in self._levels.items():
+            jobs += [Job(task_id, k, r if k else -off, r, s, f)
+                     for k, (r, s, f) in enumerate(zip(*columns))]
         # Stable on release: jobs released together stay in priority order,
         # which is their finish order, so this is (release, finish, task id).
         jobs.sort(key=itemgetter(3))
@@ -140,60 +125,42 @@ class SimTrace:
     `jobs` builds its Job records only when read (see JobRecords), and
     `response_times` (task id -> largest response, in priority order) and
     `idle_intervals` (the finite free gaps, in time order) are built on
-    their first read and kept; the job count, `first_response` and
-    `preemption_count` need none of them.  Its attributes are read-only;
-    it compares equal to a trace with equal attributes and is unhashable.
+    their first read and cached, so a later read returns the same object;
+    the job count, `first_response` and `preemption_count` need none of
+    them.  Its attributes are read-only; it compares equal to a trace with
+    equal attributes and is unhashable.
     """
 
-    __slots__ = ("_jobs", "_preemptions", "_free", "_maxima", "_idle")
-
     def __init__(self, jobs: JobRecords, preemptions: int, free: tuple):
-        self._jobs = jobs
-        self._preemptions = preemptions
+        fields = self.__dict__
+        fields["jobs"] = jobs
+        fields["preemption_count"] = preemptions
         # (starts, ends) of the free intervals, the last one unbounded.
-        self._free = free
-        self._maxima = None
-        self._idle = None
+        fields["_free"] = free
 
-    @property
-    def jobs(self) -> JobRecords:
-        return self._jobs
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"SimTrace attribute {name!r} is read-only")
 
-    @property
-    def preemption_count(self) -> int:
-        return self._preemptions
+    __delattr__ = __setattr__
 
-    @property
+    @cached_property
     def response_times(self) -> dict:
-        maxima = self._maxima
-        if maxima is None:
-            maxima = self._maxima = self._build_maxima()
-        return maxima
-
-    @property
-    def idle_intervals(self) -> tuple[tuple[int, int], ...]:
-        idle = self._idle
-        if idle is None:
-            idle = self._idle = self._build_idle()
-        return idle
-
-    def _build_maxima(self) -> dict:
         return {task_id: max(map(sub, finishes, releases))
                 for task_id, (_, releases, _, finishes)
-                in self._jobs._levels.items()}
+                in self.jobs._levels.items()}
 
-    def _build_idle(self) -> tuple[tuple[int, int], ...]:
+    @cached_property
+    def idle_intervals(self) -> tuple[tuple[int, int], ...]:
         starts, ends = self._free
         return tuple(zip(starts[:-1], ends[:-1]))
-
-    def _fields(self) -> tuple:
-        return (self.jobs, self.response_times, self.preemption_count,
-                self.idle_intervals)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._fields() == other._fields()
+        return ((self.jobs, self.response_times, self.preemption_count,
+                 self.idle_intervals)
+                == (other.jobs, other.response_times, other.preemption_count,
+                    other.idle_intervals))
 
     def __repr__(self) -> str:
         return (f"SimTrace(jobs={self.jobs!r}, "
@@ -205,7 +172,7 @@ class SimTrace:
         """The response of the task's first job: its finish, as it is
         released at 0."""
         try:
-            return self._jobs._levels[task_id][3][0]
+            return self.jobs._levels[task_id][3][0]
         except KeyError:
             raise KeyError(
                 f"no first job recorded for task {task_id!r}") from None

@@ -382,7 +382,10 @@ def test_generate_batch(tmp_path, capsys):
     assert rc == 0
     paths = out.splitlines()
     assert paths == [f"{prefix}-{k:04d}.json" for k in range(3)]
-    docs = [json.loads(open(p).read()) for p in paths]
+    docs = []
+    for p in paths:
+        with open(p) as fh:
+            docs.append(json.load(fh))
     assert [d["index"] for d in docs] == [0, 1, 2]
     # Same seed, same stream: consecutive batch entries differ.
     assert docs[0]["tasks"] != docs[1]["tasks"]

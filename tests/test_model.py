@@ -144,6 +144,14 @@ def test_file_round_trip(tmp_path, table1):
     assert path.read_bytes() == first
 
 
+def test_save_rejects_non_integer_wcet(tmp_path):
+    ts = mk([(10, Fraction(5, 2), 0), (20, 3, 0)], relaxed=True)
+    path = tmp_path / "set.json"
+    with pytest.raises(TaskModelError, match=f"task {ts[0].id}: .* 5/2"):
+        save_tasks(ts, str(path))
+    assert not path.exists()
+
+
 def test_load_rejects_unknown_field(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"tasks": [

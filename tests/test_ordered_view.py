@@ -285,6 +285,13 @@ def test_out_of_range_targets_raise_index_error(name, past_end, jittered,
         PER_TARGET[name](ts, k)
 
 
+@pytest.mark.parametrize("method", ["simulate", "fixed_point", ""])
+def test_method_result_rejects_unknown_names(method, table1):
+    with pytest.raises(ValueError, match=f"^unknown method '{method}'; "
+                       "expected one of harmonic, .*, virtual-jitter$"):
+        method_result(table1, 1, method)
+
+
 def _fields(view):
     return {name: copy.deepcopy(getattr(view, name))
             for name in OrderedView.__slots__}

@@ -292,9 +292,9 @@ def _no_idle(self):
 
 
 def _forbid_trace_builds(monkeypatch):
-    monkeypatch.setattr(JobRecords, "_build", _no_build)
-    monkeypatch.setattr(SimTrace, "_build_maxima", _no_maxima)
-    monkeypatch.setattr(SimTrace, "_build_idle", _no_idle)
+    monkeypatch.setattr(JobRecords, "_records", property(_no_build))
+    monkeypatch.setattr(SimTrace, "response_times", property(_no_maxima))
+    monkeypatch.setattr(SimTrace, "idle_intervals", property(_no_idle))
 
 
 def test_job_count_and_first_response_build_no_record(table1, monkeypatch):
@@ -363,10 +363,16 @@ def test_trace_fields_are_kept_and_compared_by_value(table1):
         assert variant != trace and not variant == trace
     with pytest.raises(TypeError, match="unhashable type: 'SimTrace'"):
         hash(trace)
-    for field in ("jobs", "response_times", "preemption_count",
-                  "idle_intervals"):
-        with pytest.raises(AttributeError):
-            setattr(trace, field, None)
+    # Read-only before and after the deferred fields are first read.
+    fresh = simulate(table1, SimConfig(360, offsets))
+    for target in (fresh, trace):
+        for field in ("jobs", "response_times", "preemption_count",
+                      "idle_intervals", "anything"):
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(target, field, None)
+            with pytest.raises(AttributeError, match="read-only"):
+                delattr(target, field)
+    assert fresh == trace
 
 
 def test_job_records_read_as_their_tuple(table1):
