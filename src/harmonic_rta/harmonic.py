@@ -14,10 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
+from operator import add, ge
 
-from .model import OrderedView, TaskSet, _ratio, _reduced, ordered_view
-from .rta import NonConvergent, RtaResult, _iterate
+from .model import (OrderedView, TaskSet, _JITTER, _ratio, _reduced,
+                    ordered_view)
+from .rta import NonConvergent, RtaResult, _Deferred, _deferred, _iterate
 
 
 class JitterPresent(ValueError):
@@ -29,7 +32,7 @@ class DeltaOutOfRange(ValueError):
 
 
 @dataclass(frozen=True)
-class HarmonicIterationTrace:
+class HarmonicIterationTrace(_Deferred):
     """Stage-by-stage record of one staged WCRT run.
 
     `stage_values[0]` is the utilization-bound base value; each later entry is
@@ -37,6 +40,8 @@ class HarmonicIterationTrace:
     computed stage).  `early_stop_stage`, when set, is the 1-based stage whose
     refinement was skipped because the previous value already sits on a
     multiple of that stage's period (all remaining stages are then no-ops).
+    The staged methods build `stage_values` on first read; it is the tuple
+    of their result's `trace`.
     """
 
     stage_values: tuple
@@ -50,8 +55,9 @@ def _staged_fixed_point(view: OrderedView, const: int, jitter: int,
 
     `const` (the target wcet, or its virtual-jitter replacement) and the
     uniform jitter J are in view units.  Returns the integer pair (reach,
-    free) of the last stage, in which R + J = reach/free in view units.
-    When `stage_values` is a list, each stage value, base value first, is
+    free) of the last stage, in which R + J = reach/free in view units,
+    and the number of ceilings spent, one per computed stage.  When
+    `stage_values` is a list, each stage value, base value first, is
     appended to it as a reduced Fraction in task time units.
 
     Stage s refines the previous value R by one ceiling,
@@ -69,6 +75,7 @@ def _staged_fixed_point(view: OrderedView, const: int, jitter: int,
     scale = view.scale
     reach = (const + jitter) * lcm
     free = lcm - total
+    ceilings = 0
     if stage_values is not None:
         # R = (reach - J*free)/free in view units, over `scale` in task units.
         num, den = reach - jitter * free, free * scale
@@ -82,29 +89,41 @@ def _staged_fixed_point(view: OrderedView, const: int, jitter: int,
             break
         reach += wcet * lcm * -(-reach // span)
         free += unum
+        ceilings += 1
         if stage_values is not None:
             num, den = reach - jitter * free, free * scale
             g = gcd(num, den)
             stage_values.append(_reduced(num // g, den // g))
-    return reach, free
+    return reach, free, ceilings
+
+
+def _stage_values(view: OrderedView, const: int, jitter: int,
+                  early_stop: bool) -> tuple:
+    """The stage values of one staged run, base value first."""
+    values = []
+    _staged_fixed_point(view, const, jitter, early_stop, values)
+    return tuple(values)
 
 
 def _staged_rta(view: OrderedView, const: int, jitter: int, budget,
                 early_stop: bool = True) -> RtaResult:
     """The RtaResult of one staged run against a deadline budget.
 
-    Its trace holds the stage values, base value first, and its iteration
-    count is the ceilings spent, one per computed stage.  The last stage
-    value is reduced, so its margin (budget*den - num)/den is reduced as it
-    stands.
+    Its iteration count is the ceilings spent, one per computed stage.
+    Its trace holds the stage values, base value first; it is built on
+    first read by running the stages again on the same view, which is
+    read-only.  The WCRT is reduced, so its margin (budget*den - num)/den
+    is reduced as it stands.
     """
-    values = []
-    _staged_fixed_point(view, const, jitter, early_stop, values)
-    wcrt = values[-1]
+    reach, free, ceilings = _staged_fixed_point(view, const, jitter,
+                                                early_stop)
+    wcrt = _ratio(reach - jitter * free, free * view.scale)
     den = wcrt.denominator
     slack = budget * den - wcrt.numerator
-    return RtaResult(wcrt, len(values) - 1, tuple(values), slack >= 0,
-                     _reduced(slack, den))
+    return _deferred(RtaResult, {"wcrt": wcrt, "iterations": ceilings,
+                                 "schedulable": slack >= 0,
+                                 "margin": _reduced(slack, den)},
+                     "trace", _stage_values, view, const, jitter, early_stop)
 
 
 def _staged_result(ts: TaskSet, target_index: int, jitter,
@@ -119,21 +138,23 @@ def _staged_result(ts: TaskSet, target_index: int, jitter,
     budget = target.deadline - (target.jitter if jitter_aware else 0)
     result = _staged_rta(view, view.target_wcet, view.scaled(jitter), budget,
                          early_stop)
-    # A run that stopped early holds at most one value per task, the base
-    # value included, and their count is the number of the stage it skipped.
-    stages = len(result.trace)
-    return result, HarmonicIterationTrace(
-        result.trace, result.iterations,
-        stages if stages <= len(view.periods) else None)
+    # A run that stopped early computed fewer stages than the view has
+    # tasks; the stage it skipped is the one after the last computed.
+    ceilings = result.iterations
+    stopped = ceilings + 1 if ceilings < len(view.periods) else None
+    return result, _deferred(
+        HarmonicIterationTrace,
+        {"ceil_evals": ceilings, "early_stop_stage": stopped},
+        "stage_values", getattr, result, "trace")
 
 
 def _first_jittered(ts: TaskSet, target_index: int):
     """The first task with jitter among the target and the tasks above it,
     or None."""
-    for task in ts.tasks[:target_index + 1]:
-        if task.jitter:
-            return task
-    return None
+    tasks = ts.tasks[:target_index + 1]
+    if not any(map(_JITTER, tasks)):
+        return None
+    return next(task for task in tasks if task.jitter)
 
 
 def _reject_jitters(ts: TaskSet, target_index: int) -> None:
@@ -180,7 +201,7 @@ def wcrt_jitter_bounds(ts: TaskSet, target_index: int):
     jitters = view.jitters or (0,)  # no interference: both are the wcet
     bounds = []
     for jitter in (min(jitters), max(jitters)):
-        reach, free = _staged_fixed_point(view, view.target_wcet, jitter)
+        reach, free, _ = _staged_fixed_point(view, view.target_wcet, jitter)
         bounds.append(_ratio(reach - jitter * free, free * view.scale))
     return tuple(bounds)
 
@@ -254,6 +275,9 @@ def check_restricted_jitter(ts: TaskSet, target_index: int) -> bool:
     view = ordered_view(ts, target_index)
     if not view.order:
         raise ValueError("target has no higher-priority tasks")
-    j_last = view.jitters[-1]
-    return all(max(0, j_last - later) <= j <= j_last
-               for j, later in zip(view.jitters, view.suffix_wcet))
+    # Jitters are never negative, so the lower bound reads
+    # J_last - suffix_wcet_after(k) <= J_pi(k).
+    jitters = view.jitters
+    j_last = jitters[-1]
+    return max(jitters) <= j_last and all(
+        map(ge, map(add, jitters, view.suffix_wcet), repeat(j_last)))

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from operator import mod
+from operator import and_, attrgetter, eq, gt, mod
 
 
 class TaskModelError(ValueError):
@@ -72,7 +72,12 @@ def _task_id(priority: int) -> str:
 
 @dataclass(frozen=True)
 class TaskSet:
-    """Immutable task list ordered by strictly increasing priority index."""
+    """Immutable task list ordered by strictly increasing priority index.
+
+    The priorities are 1..n in order, so the task at index i has priority
+    i + 1; `validate`, which builds every TaskSet, guarantees it, and the
+    ordered views read a task's index off its priority.
+    """
 
     tasks: tuple[Task, ...]
     total_utilization: Fraction
@@ -305,6 +310,8 @@ class OrderedView:
                 f"higher-priority periods {a} and {b} do not divide")
 
 
+_PERIOD = attrgetter("period")
+_JITTER = attrgetter("jitter")
 _last_views = (None, {})  # (ts, {(target_index, jitter_ties): view})
 _INDEX_TYPES = (int, type(None))
 
@@ -354,8 +361,8 @@ def _ties_agree(view: OrderedView, jitter_ties: bool) -> bool:
     """
     periods = view.periods
     keys = view.jitters if jitter_ties else view.order
-    return not any(a == b and x > y for a, b, x, y in
-                   zip(periods, periods[1:], keys, keys[1:]))
+    return not any(map(and_, map(eq, periods, periods[1:]),
+                       map(gt, keys, keys[1:])))
 
 
 def _build_view(ts: TaskSet, target_index: int | None, jitter_ties: bool,
@@ -367,12 +374,12 @@ def _build_view(ts: TaskSet, target_index: int | None, jitter_ties: bool,
         if not 0 <= target_index < len(tasks):
             raise IndexError(f"target index {target_index} out of range")
         hp, target_wcet = tasks[:target_index], tasks[target_index].wcet
-    if jitter_ties:
-        keys = sorted([(-t.period, t.jitter, i) for i, t in enumerate(hp)])
-    else:
-        keys = sorted([(-t.period, i) for i, t in enumerate(hp)])
-    order = tuple([key[-1] for key in keys])
-    chosen = [hp[i] for i in order]
+    # Two stable sorts: by jitter, then by non-increasing period (reverse
+    # keeps equal keys in order).  Ties left by both stay in priority
+    # order, and a task's priority is its index plus one.
+    chosen = sorted(hp, key=_JITTER) if jitter_ties else hp
+    chosen = sorted(chosen, key=_PERIOD, reverse=True)
+    order = tuple([t.priority - 1 for t in chosen])
     return OrderedView(order, tuple([t.period for t in chosen]),
                        tuple([t.wcet for t in chosen]),
                        tuple([t.jitter for t in chosen]), target_wcet, extra)

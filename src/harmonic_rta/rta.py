@@ -11,9 +11,9 @@ this the reference the fast harmonic paths are cross-checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
-from operator import mul
+from operator import mul, neg
 
 from .model import OrderedView, TaskSet, _ratio, ordered_view
 
@@ -28,14 +28,49 @@ class DomainError(ValueError):
     """Argument outside the domain of the nested-ceiling identity."""
 
 
+class _Deferred:
+    """Base of a frozen dataclass one of whose fields may be built on its
+    first read.
+
+    `_deferred` makes such an instance.  Until the field is read it is
+    missing from the instance `__dict__`; `__getattr__` then builds and
+    stores it.  Reads, `repr`, `==`, `hash` and pickling all go through
+    the attribute, so they see the same value as an eagerly built instance.
+    """
+
+    def __getattr__(self, name):
+        # Reached only for an attribute missing from __dict__.
+        field, build, args = self.__dict__.get("_pending", (None, None, ()))
+        if name != field:
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}")
+        value = self.__dict__[name] = build(*args)
+        del self.__dict__["_pending"]
+        return value
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, f.name)
+                                  for f in fields(self)])
+
+
+def _deferred(cls, values: dict, name: str, build, *args):
+    """An instance of `cls` with the field values `values` whose field
+    `name` is `build(*args)`, called on the first read."""
+    obj = object.__new__(cls)
+    values["_pending"] = name, build, args
+    obj.__dict__.update(values)
+    return obj
+
+
 @dataclass(frozen=True)
-class RtaResult:
+class RtaResult(_Deferred):
     """Outcome of one WCRT computation.
 
     `trace` holds successive iterates for the fixed-point oracles (it then
     ends with two equal values) or the per-stage values for the staged
-    harmonic methods.  `margin` is deadline slack: D - J - wcrt for
-    jitter-aware methods, D - wcrt otherwise; `schedulable` is margin >= 0.
+    harmonic methods, which build it on first read.  `margin` is deadline
+    slack: D - J - wcrt for jitter-aware methods, D - wcrt otherwise;
+    `schedulable` is margin >= 0.
     """
 
     wcrt: Fraction | int
@@ -140,7 +175,7 @@ def wcrt_fixed_point_jitter(ts: TaskSet, target_index: int, start=None) -> RtaRe
     view = ordered_view(ts, target_index)
     target = ts[target_index]
     return RtaResult.within(target.deadline - target.jitter, *_iterate(
-        view, tuple([-j for j in view.jitters]), start))
+        view, tuple(map(neg, view.jitters)), start))
 
 
 def nested_ceil(x, z):

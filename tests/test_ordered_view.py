@@ -1,18 +1,21 @@
 """The ordered view shared by back-to-back analyses of one task set."""
 
 import copy
+import random
 from fractions import Fraction
 
 import pytest
 
 from harmonic_rta import (
     Rng,
+    Task,
     TaskSet,
     brute_force_feasibility,
     check_restricted_jitter,
     pi_order,
     random_analysis_set,
     solve_feasibility,
+    validate,
     wcrt_exclusion_model,
     wcrt_fixed_point,
     wcrt_fixed_point_jitter,
@@ -324,3 +327,92 @@ def test_analyses_leave_cached_views_unchanged(rows):
     for key, view in views.items():
         assert ordered_view(ts, *key) is view
         assert _fields(view) == before[key]
+
+
+def _reference_order(ts, target, jitter_ties):
+    """The view order by a sort on (-period, jitter, index) or (-period,
+    index)."""
+    hp = range(len(ts)) if target is None else range(target)
+    if jitter_ties:
+        return sorted(hp, key=lambda i: (-ts[i].period, ts[i].jitter, i))
+    return sorted(hp, key=lambda i: (-ts[i].period, i))
+
+
+def _tie_heavy_sets():
+    """Strict harmonic sets with long equal-period runs, and relaxed
+    non-harmonic sets with rational wcets, in shuffled priority order."""
+    rng = random.Random(31337)
+    sets = []
+    for k in range(400):
+        n = rng.randint(1, 9)
+        if k % 2:
+            periods = [rng.choice((6, 7, 10, 15)) for _ in range(n)]
+            rows = [(t, Fraction(rng.randint(1, 7), 7 * n),
+                     rng.randint(0, 2)) for t in periods]
+            relaxed = True
+        else:
+            periods = [rng.choice((8, 16, 16, 32, 32, 32)) for _ in range(n)]
+            # Jitters from a narrow range give tied and untied runs.
+            rows = [(t, 1, rng.choice((0, 0, 1, 3))) for t in periods]
+            relaxed = False
+        ts = mk(rows, relaxed=relaxed)
+        if relaxed or ts.total_utilization < 1:
+            sets.append(ts)
+    return sets
+
+
+def test_view_order_matches_a_reference_sort():
+    evict = mk([(10, 1, 0)])
+    checked = ties = 0
+    for ts in _tie_heavy_sets():
+        for target in (None, *range(len(ts))):
+            for first in (True, False):
+                # Each tie order built cold, then taken from the store
+                # after the other one.
+                ordered_view(evict, 0)
+                for jitter_ties in (first, not first):
+                    view = ordered_view(ts, target, jitter_ties)
+                    order = _reference_order(ts, target, jitter_ties)
+                    assert list(view.order) == order
+                    scale = view.scale
+                    assert view.periods == tuple(ts[i].period * scale
+                                                 for i in order)
+                    assert view.jitters == tuple(ts[i].jitter * scale
+                                                 for i in order)
+                    assert view.wcets == tuple(int(ts[i].wcet * scale)
+                                               for i in order)
+                    checked += 1
+            ties += any(a.period == b.period and a.jitter == b.jitter
+                        for a in ts.tasks[:target] for b in ts.tasks[:target]
+                        if a is not b)
+    assert checked > 5000 and ties > 300
+
+
+def test_views_share_on_941_of_1464_jitter_corpus_targets():
+    shared = total = 0
+    for ts in _corpus(20260818, 300, "constrained"):
+        for k in range(1, len(ts)):
+            same = ordered_view(ts, k) is ordered_view(ts, k,
+                                                       jitter_ties=False)
+            assert same == _orders_agree(ts, k)
+            shared += same
+            total += 1
+    assert (shared, total) == (941, 1464)
+
+
+def test_priorities_are_indices_plus_one():
+    # The views read a task's index off its priority.
+    rng = random.Random(4)
+    for relaxed in (False, True):
+        for _ in range(200):
+            n = rng.randint(1, 8)
+            priorities = list(range(1, n + 1))
+            rng.shuffle(priorities)
+            tasks = [Task(period=2 ** rng.randint(3, 6), wcet=1,
+                          deadline=8, jitter=0, priority=p)
+                     for p in priorities]
+            ts = validate(tasks, relaxed=relaxed)
+            assert [t.priority for t in ts] == list(range(1, n + 1))
+    for ts in (_corpus(20260817, 100, "none")
+               + _corpus(20260818, 100, "unconstrained")):
+        assert [t.priority for t in ts] == list(range(1, len(ts) + 1))
