@@ -251,11 +251,11 @@ def brute_force_last_values(periods, wcets, jitters, last_cap: int):
     k = len(periods)
     values, witnesses = [], []
     # m_1 = 1 needs J_last + m_last*T_last >= J_1 + T_1, so every smaller
-    # m_last fails at the first task.
-    first = 0
-    if k > 1:
-        first = max(0, -((jitters[-1] - jitters[0] - periods[0])
-                         // periods[-1]))
+    # m_last fails at the first task.  One task is both first and last, so
+    # m_last = m_1 = 1 is its only value.
+    first = max(0, -((jitters[-1] - jitters[0] - periods[0]) // periods[-1]))
+    if k == 1:
+        last_cap = min(last_cap, first)
     for y in range(first, last_cap + 1):
         j_max = jitters[-1] + y * periods[-1]
         witness = []
@@ -294,10 +294,6 @@ def brute_force_feasibility(ts: TaskSet, target_index: int | None = None
     """
     view = _feasibility_view(ts, target_index)
     periods, jitters, scale = view.periods, view.jitters, view.scale
-    if len(periods) == 1:
-        first = periods[0] // scale
-        return FeasibilityResult(FEASIBLE, (1,), jitters[0] // scale + first,
-                                 None, ((first, first),))
     last_cap = ((jitters[0] + periods[0] + view.suffix_wcet[0] - jitters[-1])
                 // periods[-1])
     values, witnesses = brute_force_last_values(periods, view.wcets, jitters,

@@ -25,6 +25,7 @@ from harmonic_rta import (
     wcrt_virtual_jitter,
 )
 from harmonic_rta.feasibility import (
+    FEASIBLE,
     Branch,
     brute_force_last_values,
     satisfies_constraints,
@@ -133,6 +134,18 @@ def test_brute_force_infeasible():
 def test_brute_force_single_task():
     ts = mk([(10, 1, 9)])
     assert brute_force_feasibility(ts, None).is_feasible
+
+
+@pytest.mark.parametrize("jitter", [0, 4, 9])
+def test_one_task_admits_only_m_last_one(jitter):
+    # The one task is both the first (m_1 = 1) and the last one.
+    assert brute_force_last_values((10,), (3,), (jitter,), 5) == ([1], [(1,)])
+    assert brute_force_last_values((10,), (3,), (jitter,), 0) == ([], [])
+    ts = mk([(10, 3, jitter), (20, 1, 0)])
+    expected = FeasibilityResult(FEASIBLE, (1,), jitter + 10, None,
+                                 ((10, 10),))
+    assert brute_force_feasibility(ts, 1) == expected
+    assert solve_feasibility(ts, 1) == expected
 
 
 def _random_shift_rows(rng, relaxed):

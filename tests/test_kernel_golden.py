@@ -223,7 +223,7 @@ GOLDEN = {
                      _jitter_corpus_lines),
     "reference-sets": ((244, "bde558147180afdf41b3bbc23701151bfe46b8bba1063ceaca81e66d9565a1d7"),
                       _reference_lines),
-    "relaxed-rational": ((4004, "a22c71cb8401bbf6a2c139bedeef334a67470bcc26c30ac46a07e0116dad8459"),
+    "relaxed-rational": ((4004, "bead858837b338580fb0b9bc533ec5715b808ff5e557bafb16f7bb2c5f5bcbf9"),
                         _relaxed_lines),
     "non-harmonic": ((2551, "9d95f91074023804052274a62af86ddfde98850fb27cd9c18ebff8517b3dabf3"),
                     _non_harmonic_lines),
