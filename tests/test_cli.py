@@ -155,6 +155,37 @@ def test_runtime_failures_exit_two_with_one_line(table1_file, monkeypatch,
                    "360\n")
 
 
+def test_simulation_past_the_job_bound_exits_two_before_simulating(
+        tmp_path, monkeypatch, capsys):
+    def never(ts, cfg):
+        raise AssertionError("simulate called")
+
+    monkeypatch.setattr(cli, "simulate", never)
+    # The horizon is the longest period: 10^12 jobs of t2 plus one of t1.
+    path = write_task_file(tmp_path / "long.json",
+                           mk([(2 * 10**12, 1, 0), (2, 1, 0)]))
+    for extra in ([], ["--target", "1"], ["--cross-validate"]):
+        rc, out, err = run_cli(["analyze", "--input", path, "--method",
+                                "simulate", *extra], capsys)
+        assert (rc, out) == (2, "")
+        assert err == ("error: simulation to horizon 2000000000000 needs "
+                       "1000000000001 jobs, more than MAX_SIMULATED_JOBS="
+                       f"{cli.MAX_SIMULATED_JOBS}; use an exact method\n")
+    # At a bound of 11 jobs, 11 simulate and 12 do not.
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "MAX_SIMULATED_JOBS", 11)
+    for period, rc_want in ((20, 0), (22, 2)):
+        path = write_task_file(tmp_path / f"edge{period}.json",
+                               mk([(period, 1, 0), (2, 1, 0)]))
+        rc, out, err = run_cli(["analyze", "--input", path, "--method",
+                                "simulate", "--deterministic"], capsys)
+        assert rc == rc_want
+        if rc == 0:
+            assert {r["steps"] for r in csv_rows(out)} == {"11"}
+        else:
+            assert "needs 12 jobs, more than MAX_SIMULATED_JOBS=11" in err
+
+
 def test_analyze_virtual_jitter_reports_infeasible_targets(table1_file, capsys):
     rc, out, _ = run_cli(["analyze", "--input", table1_file, "--method",
                           "virtual-jitter"], capsys)
