@@ -18,8 +18,7 @@ from itertools import repeat
 from math import gcd
 from operator import add, ge
 
-from .model import (OrderedView, TaskSet, _JITTER, _ratio, _reduced,
-                    ordered_view)
+from .model import OrderedView, TaskSet, _ratio, _reduced, ordered_view
 from .rta import NonConvergent, RtaResult, _Deferred, _deferred, _iterate
 
 
@@ -151,10 +150,10 @@ def _staged_result(ts: TaskSet, target_index: int, jitter,
 def _first_jittered(ts: TaskSet, target_index: int):
     """The first task with jitter among the target and the tasks above it,
     or None."""
-    tasks = ts.tasks[:target_index + 1]
-    if not any(map(_JITTER, tasks)):
-        return None
-    return next(task for task in tasks if task.jitter)
+    for task in ts.tasks[:target_index + 1]:
+        if task.jitter:
+            return task
+    return None
 
 
 def _reject_jitters(ts: TaskSet, target_index: int) -> None:

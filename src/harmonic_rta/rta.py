@@ -41,12 +41,17 @@ class _Deferred:
     def __getattr__(self, name):
         # Reached only for an attribute missing from __dict__.
         field, build, args = self.__dict__.get("_pending", (None, None, ()))
-        if name != field:
+        if name == field:
+            # Of two threads building at once, the first to store wins, so
+            # every read returns one object.
+            self.__dict__.setdefault(name, build(*args))
+            self.__dict__.pop("_pending", None)
+        try:
+            # Also finds a field another thread stored since the miss.
+            return self.__dict__[name]
+        except KeyError:
             raise AttributeError(f"{type(self).__name__!r} object has no "
-                                 f"attribute {name!r}")
-        value = self.__dict__[name] = build(*args)
-        del self.__dict__["_pending"]
-        return value
+                                 f"attribute {name!r}") from None
 
     def __reduce__(self):
         return type(self), tuple([getattr(self, f.name)

@@ -7,6 +7,8 @@ every stage value during the run, as the staged methods once did.
 """
 
 import pickle
+import sys
+import threading
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -138,6 +140,36 @@ def test_deferred_fields_stay_read_only(table1):
         result.stages
     assert type(result) is RtaResult
     assert result.trace == trace.stage_values
+
+
+def test_threads_reading_one_trace_get_one_tuple(table1):
+    # More threads than cores and a short switch interval, so reads
+    # interleave inside the first build.
+    threads = 4
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(200):
+            result, trace = wcrt_uniform_jitter(table1, 5, 8)
+            seen = []
+            barrier = threading.Barrier(threads, timeout=10)
+
+            def read(obj, name):
+                barrier.wait()
+                seen.append(getattr(obj, name))
+
+            workers = [threading.Thread(
+                target=read, args=(result, "trace") if k % 2 else
+                (trace, "stage_values")) for k in range(threads)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=10)
+                assert not worker.is_alive()
+            assert len(seen) == threads
+            assert all(values is result.trace for values in seen)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.fixture

@@ -340,7 +340,8 @@ def _reference_order(ts, target, jitter_ties):
 
 def _tie_heavy_sets():
     """Strict harmonic sets with long equal-period runs, and relaxed
-    non-harmonic sets with rational wcets, in shuffled priority order."""
+    non-harmonic sets with rational wcets; periods in random priority
+    order."""
     rng = random.Random(31337)
     sets = []
     for k in range(400):
@@ -408,9 +409,9 @@ def test_priorities_are_indices_plus_one():
             n = rng.randint(1, 8)
             priorities = list(range(1, n + 1))
             rng.shuffle(priorities)
-            tasks = [Task(period=2 ** rng.randint(3, 6), wcet=1,
-                          deadline=8, jitter=0, priority=p)
-                     for p in priorities]
+            periods = [2 ** rng.randint(4, 6) for _ in priorities]
+            tasks = [Task(period=t, wcet=1, deadline=t, priority=p)
+                     for t, p in zip(periods, priorities)]
             ts = validate(tasks, relaxed=relaxed)
             assert [t.priority for t in ts] == list(range(1, n + 1))
     for ts in (_corpus(20260817, 100, "none")
