@@ -148,12 +148,12 @@ def _simulate_rows(ts: TaskSet, targets: list[int],
     longest = max(task.period for task in ts)
     need = 2 * max(fixed_points)
     horizon = max(longest, -(-need.numerator // need.denominator))
-    jobs = simulation_job_count(ts, horizon)
+    offsets = tuple(task.jitter for task in ts)
+    jobs = simulation_job_count(ts, horizon, offsets)
     if jobs > MAX_SIMULATED_JOBS:
         raise CliError(f"simulation to horizon {horizon} needs {jobs} jobs, "
                        f"more than MAX_SIMULATED_JOBS={MAX_SIMULATED_JOBS}; "
                        f"use an exact method")
-    offsets = tuple(task.jitter for task in ts)
     trace = simulate(ts, SimConfig(horizon=horizon, release_offsets=offsets))
     rows = []
     for i in targets:

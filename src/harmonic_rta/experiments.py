@@ -238,8 +238,14 @@ def random_analysis_set(
     return generate_with_target(config, rng)
 
 
-def simulation_job_count(ts: TaskSet, horizon: int) -> int:
-    return sum(-((-horizon) // task.period) for task in ts)
+def simulation_job_count(ts: TaskSet, horizon: int, offsets=None) -> int:
+    """The jobs `simulate` schedules to `horizon` (at least every period)
+    at these release offsets, None for all zero: per task the first job at
+    0 and one at every k*T - offset below it, ceil((horizon + offset)/T)."""
+    if offsets is None:
+        offsets = (0,) * len(ts)
+    return sum([-((-horizon - off) // task.period)
+                for task, off in zip(ts, offsets)])
 
 
 def first_job_sim_horizon(ts: TaskSet, response: Fraction) -> int:

@@ -18,8 +18,9 @@ from itertools import repeat
 from math import gcd
 from operator import add, ge
 
-from .model import OrderedView, TaskSet, _ratio, _reduced, ordered_view
-from .rta import NonConvergent, RtaResult, _Deferred, _deferred, _iterate
+from .model import (OrderedView, TaskSet, _Deferred, _deferred, _ratio,
+                    _reduced, ordered_view)
+from .rta import NonConvergent, RtaResult, _iterate
 
 
 class JitterPresent(ValueError):
@@ -122,7 +123,7 @@ def _staged_rta(view: OrderedView, const: int, jitter: int, budget,
     return _deferred(RtaResult, {"wcrt": wcrt, "iterations": ceilings,
                                  "schedulable": slack >= 0,
                                  "margin": _reduced(slack, den)},
-                     "trace", _stage_values, view, const, jitter, early_stop)
+                     trace=(_stage_values, view, const, jitter, early_stop))
 
 
 def _staged_result(ts: TaskSet, target_index: int, jitter,
@@ -144,7 +145,7 @@ def _staged_result(ts: TaskSet, target_index: int, jitter,
     return result, _deferred(
         HarmonicIterationTrace,
         {"ceil_evals": ceilings, "early_stop_stage": stopped},
-        "stage_values", getattr, result, "trace")
+        stage_values=(getattr, result, "trace"))
 
 
 def _first_jittered(ts: TaskSet, target_index: int):

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import accumulate
 from operator import and_, attrgetter, eq, gt, mod
@@ -211,6 +211,49 @@ def _ratio(num: int, den: int) -> Fraction:
     """Fraction(num, den) for den > 0, reduced with one gcd."""
     g = math.gcd(num, den)
     return _reduced(num // g, den // g)
+
+
+class _Deferred:
+    """Base of a frozen dataclass some of whose fields may be built on
+    their first read.
+
+    `_deferred` makes such an instance.  Until a deferred field is read it
+    is missing from the instance `__dict__`; `__getattr__` then builds and
+    stores it, so every later read returns the same object.  Reads,
+    `repr`, `==`, `hash` and pickling all go through the attribute, so
+    they see the same values as an instance built by the constructor.
+    """
+
+    def __getattr__(self, name):
+        # Reached only for an attribute missing from __dict__.
+        values = self.__dict__
+        entry = values.get("_pending", {}).get(name)
+        if entry is not None:
+            build, *args = entry
+            # Of two threads building at once, the first to store wins, so
+            # every read returns one object.
+            values.setdefault(name, build(*args))
+            values["_pending"].pop(name, None)
+        try:
+            # Also finds a field another thread stored since the miss.
+            return values[name]
+        except KeyError:
+            raise AttributeError(f"{type(self).__name__!r} object has no "
+                                 f"attribute {name!r}") from None
+
+    def __reduce__(self):
+        return type(self), tuple([getattr(self, f.name)
+                                  for f in fields(self)])
+
+
+def _deferred(cls, values: dict, **pending):
+    """An instance of `cls` with the field values `values` and, for each
+    `name=(build, *args)` in `pending`, a field `name` that is
+    `build(*args)`, called on its first read."""
+    obj = object.__new__(cls)
+    values["_pending"] = pending
+    obj.__dict__.update(values)
+    return obj
 
 
 def scaled(values, scale: int) -> tuple[int, ...]:

@@ -11,11 +11,11 @@ this the reference the fast harmonic paths are cross-checked against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, neg
 
-from .model import OrderedView, TaskSet, _ratio, ordered_view
+from .model import OrderedView, TaskSet, _Deferred, _ratio, ordered_view
 
 MAX_ITERATIONS = 10 ** 6
 
@@ -26,45 +26,6 @@ class NonConvergent(ArithmeticError):
 
 class DomainError(ValueError):
     """Argument outside the domain of the nested-ceiling identity."""
-
-
-class _Deferred:
-    """Base of a frozen dataclass one of whose fields may be built on its
-    first read.
-
-    `_deferred` makes such an instance.  Until the field is read it is
-    missing from the instance `__dict__`; `__getattr__` then builds and
-    stores it.  Reads, `repr`, `==`, `hash` and pickling all go through
-    the attribute, so they see the same value as an eagerly built instance.
-    """
-
-    def __getattr__(self, name):
-        # Reached only for an attribute missing from __dict__.
-        field, build, args = self.__dict__.get("_pending", (None, None, ()))
-        if name == field:
-            # Of two threads building at once, the first to store wins, so
-            # every read returns one object.
-            self.__dict__.setdefault(name, build(*args))
-            self.__dict__.pop("_pending", None)
-        try:
-            # Also finds a field another thread stored since the miss.
-            return self.__dict__[name]
-        except KeyError:
-            raise AttributeError(f"{type(self).__name__!r} object has no "
-                                 f"attribute {name!r}") from None
-
-    def __reduce__(self):
-        return type(self), tuple([getattr(self, f.name)
-                                  for f in fields(self)])
-
-
-def _deferred(cls, values: dict, name: str, build, *args):
-    """An instance of `cls` with the field values `values` whose field
-    `name` is `build(*args)`, called on the first read."""
-    obj = object.__new__(cls)
-    values["_pending"] = name, build, args
-    obj.__dict__.update(values)
-    return obj
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,11 @@ job's finish preempts nothing.  Each job finds its first free interval by
 walking forward from the previous job's one, so one level's walk passes
 each free interval at most once.  The free gaps left once every level is
 placed are the processor's idle intervals.  The trace keeps each level's
-release, start and finish columns and that final free list; the job
-records, per-task maxima and idle intervals are built from them on first
-read and cached, with the same values an eager build would give.
+release, start and finish columns, from which the job records are built
+on first read (see JobRecords).  Its per-task maxima, from those columns,
+and its idle intervals, from that final free list, are deferred fields
+of the frozen trace (see model._Deferred): built on first read, with the
+same values an eager build would give.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from math import inf
 from operator import itemgetter, sub
 from typing import NamedTuple
 
-from .model import TaskSet
+from .model import TaskSet, _Deferred, _deferred
 
 ARRIVAL_MIN_SPACING = "min-interarrival"
 
@@ -116,57 +118,25 @@ class JobRecords(Sequence):
         return tuple(jobs)
 
 
-class SimTrace:
+@dataclass(frozen=True)
+class SimTrace(_Deferred):
     """Full schedule: jobs, per-task maximum response times, preemptions
     and idle intervals.
 
-    Only `simulate` builds one.  It keeps each task's release, start and
-    finish columns and the free list left once every level is placed.
-    `jobs` builds its Job records only when read (see JobRecords), and
-    `response_times` (task id -> largest response, in priority order) and
-    `idle_intervals` (the finite free gaps, in time order) are built on
-    their first read and cached, so a later read returns the same object;
-    the job count, `first_response` and `preemption_count` need none of
-    them.  Its attributes are read-only; it compares equal to a trace with
-    equal attributes and is unhashable.
+    `jobs` builds its Job records only when read (see JobRecords).  In a
+    trace from `simulate`, `response_times` (task id -> largest response,
+    in priority order) and `idle_intervals` (the finite free gaps, in time
+    order) are built on their first read; the job count, `first_response`
+    and `preemption_count` need none of them.
     """
 
-    def __init__(self, jobs: JobRecords, preemptions: int, free: tuple):
-        fields = self.__dict__
-        fields["jobs"] = jobs
-        fields["preemption_count"] = preemptions
-        # (starts, ends) of the free intervals, the last one unbounded.
-        fields["_free"] = free
+    jobs: JobRecords
+    response_times: dict
+    preemption_count: int
+    idle_intervals: tuple[tuple[int, int], ...]
 
-    def __setattr__(self, name, *value):
-        raise AttributeError(f"SimTrace attribute {name!r} is read-only")
-
-    __delattr__ = __setattr__
-
-    @cached_property
-    def response_times(self) -> dict:
-        return {task_id: max(map(sub, finishes, releases))
-                for task_id, (_, releases, _, finishes)
-                in self.jobs._levels.items()}
-
-    @cached_property
-    def idle_intervals(self) -> tuple[tuple[int, int], ...]:
-        starts, ends = self._free
-        return tuple(zip(starts[:-1], ends[:-1]))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.jobs, self.response_times, self.preemption_count,
-                 self.idle_intervals)
-                == (other.jobs, other.response_times, other.preemption_count,
-                    other.idle_intervals))
-
-    def __repr__(self) -> str:
-        return (f"SimTrace(jobs={self.jobs!r}, "
-                f"response_times={self.response_times!r}, "
-                f"preemption_count={self.preemption_count!r}, "
-                f"idle_intervals={self.idle_intervals!r})")
+    # A frozen dataclass would hash its fields, and the maxima are a dict.
+    __hash__ = None
 
     def first_response(self, task_id: str) -> int:
         """The response of the task's first job: its finish, as it is
@@ -186,6 +156,17 @@ class SimTrace:
                 j.task_id, j.job_index, j.arrival, j.release, j.start,
                 j.finish)))
         return "\n".join(lines) + "\n"
+
+
+def _maxima(levels: dict) -> dict:
+    """Task id -> largest response, from the per-level columns."""
+    return {task_id: max(map(sub, finishes, releases))
+            for task_id, (_, releases, _, finishes) in levels.items()}
+
+
+def _idle(starts: list, ends: list) -> tuple[tuple[int, int], ...]:
+    """The finite free intervals; the last, unbounded one is dropped."""
+    return tuple(zip(starts[:-1], ends[:-1]))
 
 
 def simulate(ts: TaskSet, cfg: SimConfig) -> SimTrace:
@@ -301,4 +282,7 @@ def simulate(ts: TaskSet, cfg: SimConfig) -> SimTrace:
         levels[task_id] = off, releases, job_starts, finishes
         job_count += len(releases)
 
-    return SimTrace(JobRecords(levels, job_count), preemptions, (starts, ends))
+    return _deferred(SimTrace, {"jobs": JobRecords(levels, job_count),
+                                "preemption_count": preemptions},
+                     response_times=(_maxima, levels),
+                     idle_intervals=(_idle, starts, ends))

@@ -184,6 +184,16 @@ def test_simulation_past_the_job_bound_exits_two_before_simulating(
             assert {r["steps"] for r in csv_rows(out)} == {"11"}
         else:
             assert "needs 12 jobs, more than MAX_SIMULATED_JOBS=11" in err
+    # Released at offset = jitter 5, t1 runs jobs at 0, 5 and 15 below the
+    # horizon 20, and t2 one: 4 jobs, one more than ceil(20/T) counts.
+    monkeypatch.setattr(cli, "MAX_SIMULATED_JOBS", 3)
+    path = write_task_file(tmp_path / "jittered.json",
+                           mk([(10, 1, 5), (20, 2, 0)]))
+    rc, out, err = run_cli(["analyze", "--input", path, "--method",
+                            "simulate"], capsys)
+    assert (rc, out) == (2, "")
+    assert err == ("error: simulation to horizon 20 needs 4 jobs, more than "
+                   "MAX_SIMULATED_JOBS=3; use an exact method\n")
 
 
 def test_analyze_virtual_jitter_reports_infeasible_targets(table1_file, capsys):

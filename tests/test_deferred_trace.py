@@ -1,9 +1,11 @@
-"""Staged traces built on first read equal the traces built with the run.
+"""Deferred fields built on first read equal the fields built with the run.
 
 The staged methods return the WCRT, margin and ceiling count of one run
 and rebuild the stage values only when `RtaResult.trace` or
 `HarmonicIterationTrace.stage_values` is read.  The reference here builds
-every stage value during the run, as the staged methods once did.
+every stage value during the run, as the staged methods once did.  A
+simulated `SimTrace` builds its response maxima and idle intervals the
+same way.
 """
 
 import pickle
@@ -17,7 +19,9 @@ from harmonic_rta import (
     HarmonicIterationTrace,
     Rng,
     RtaResult,
+    SimConfig,
     random_analysis_set,
+    simulate,
     solve_feasibility,
     wcrt_harmonic,
     wcrt_uniform_jitter,
@@ -142,34 +146,60 @@ def test_deferred_fields_stay_read_only(table1):
     assert result.trace == trace.stage_values
 
 
+def _read_at_once(reads):
+    """Each (object, name) read by its own thread, all released at once;
+    the (name, value) pairs, in finish order."""
+    seen = []
+    barrier = threading.Barrier(len(reads), timeout=10)
+
+    def read(obj, name):
+        barrier.wait()
+        seen.append((name, getattr(obj, name)))
+
+    workers = [threading.Thread(target=read, args=pair) for pair in reads]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=10)
+        assert not worker.is_alive()
+    assert len(seen) == len(reads)
+    return seen
+
+
 def test_threads_reading_one_trace_get_one_tuple(table1):
     # More threads than cores and a short switch interval, so reads
     # interleave inside the first build.
-    threads = 4
+    offsets = tuple(t.jitter for t in table1)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(200):
             result, trace = wcrt_uniform_jitter(table1, 5, 8)
-            seen = []
-            barrier = threading.Barrier(threads, timeout=10)
-
-            def read(obj, name):
-                barrier.wait()
-                seen.append(getattr(obj, name))
-
-            workers = [threading.Thread(
-                target=read, args=(result, "trace") if k % 2 else
-                (trace, "stage_values")) for k in range(threads)]
-            for worker in workers:
-                worker.start()
-            for worker in workers:
-                worker.join(timeout=10)
-                assert not worker.is_alive()
-            assert len(seen) == threads
-            assert all(values is result.trace for values in seen)
+            seen = _read_at_once([(result, "trace"),
+                                  (trace, "stage_values")] * 2)
+            assert all(values is result.trace for _, values in seen)
+            # Two deferred fields of one simulated trace, built at once.
+            sim = simulate(table1, SimConfig(360, offsets))
+            seen = _read_at_once([(sim, "response_times"),
+                                  (sim, "idle_intervals")] * 2)
+            assert all(value is getattr(sim, name) for name, value in seen)
     finally:
         sys.setswitchinterval(interval)
+
+
+def test_sim_traces_survive_pickle(table1):
+    offsets = tuple(t.jitter for t in table1)
+    built = simulate(table1, SimConfig(360, offsets))
+    text = repr(built)
+    for read_first in (False, True):
+        trace = simulate(table1, SimConfig(360, offsets))
+        if read_first:
+            trace.response_times, trace.idle_intervals
+        else:
+            assert not {"response_times", "idle_intervals"} & set(vars(trace))
+        back = pickle.loads(pickle.dumps(trace))
+        assert back == trace == built and not back != built
+        assert repr(back) == repr(trace) == text
 
 
 @pytest.fixture

@@ -2,6 +2,7 @@
 
 import re
 from collections.abc import Sequence
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from operator import itemgetter
 
@@ -19,6 +20,7 @@ from harmonic_rta import (
     wcrt_fixed_point_jitter,
     wcrt_harmonic,
 )
+from harmonic_rta import simulator
 from harmonic_rta.simulator import JobRecords
 from conftest import mk, write_task_file
 from oracles import adversarial_response, unit_step_schedule
@@ -140,6 +142,7 @@ def _compare_with_unit_step(ts, horizon, offsets):
             simulate(ts, SimConfig(horizon, offsets))
         return None
     trace = simulate(ts, SimConfig(horizon, offsets))
+    assert simulation_job_count(ts, horizon, offsets) == len(trace.jobs)
     assert list(trace.jobs) == jobs
     assert trace.preemption_count == resumptions
     assert trace.idle_intervals == idle
@@ -283,18 +286,18 @@ def _no_build(self):
     raise RuntimeError("job records built")
 
 
-def _no_maxima(self):
+def _no_maxima(levels):
     raise RuntimeError("maxima built")
 
 
-def _no_idle(self):
+def _no_idle(starts, ends):
     raise RuntimeError("idle intervals built")
 
 
 def _forbid_trace_builds(monkeypatch):
     monkeypatch.setattr(JobRecords, "_records", property(_no_build))
-    monkeypatch.setattr(SimTrace, "response_times", property(_no_maxima))
-    monkeypatch.setattr(SimTrace, "idle_intervals", property(_no_idle))
+    monkeypatch.setattr(simulator, "_maxima", _no_maxima)
+    monkeypatch.setattr(simulator, "_idle", _no_idle)
 
 
 def test_job_count_and_first_response_build_no_record(table1, monkeypatch):
@@ -315,6 +318,16 @@ def test_job_count_and_first_response_build_no_record(table1, monkeypatch):
     assert firsts == {job.task_id: job.response for job in trace.jobs
                       if job.job_index == 0}
     assert preemptions == unit_step_schedule(table1, 360, (0,) * 6)[1]
+
+
+def test_job_count_counts_each_offset_release():
+    # Offset 5 releases t1 at 0, 5 and 15 below horizon 20, one job more
+    # than ceil(20/10); t2 releases once.
+    ts = mk([(10, 1, 5), (20, 2, 0)])
+    assert simulation_job_count(ts, 20, (5, 0)) == 4
+    assert len(simulate(ts, SimConfig(20, (5, 0))).jobs) == 4
+    assert simulation_job_count(ts, 20) == simulation_job_count(
+        ts, 20, (0, 0)) == len(simulate(ts, SimConfig(20)).jobs) == 3
 
 
 def test_shipped_callers_build_no_record_maxima_or_idle(table1, tmp_path,
@@ -340,22 +353,20 @@ def test_trace_fields_are_kept_and_compared_by_value(table1):
     assert trace == twin and not trace != twin
     assert trace != simulate(table1, SimConfig(360))
     assert trace != tuple(trace.jobs)
-    # A trace that differs from `trace` in one field only.  The maxima
-    # follow from the jobs, so a start is the job field that can differ
-    # alone.
+    # Traces that differ from `trace` in one field each, the job field by
+    # one start.
     levels = dict(trace.jobs._levels)
     off, releases, starts, finishes = levels["t1"]
     levels["t1"] = off, releases, [starts[0] + 1, *starts[1:]], finishes
-    free_starts, free_ends = trace._free
-    count = len(trace.jobs)
-    for variant in (
-            SimTrace(JobRecords(levels, count), trace.preemption_count,
-                     trace._free),
-            SimTrace(JobRecords(trace.jobs._levels, count),
-                     trace.preemption_count + 1, trace._free),
-            SimTrace(JobRecords(trace.jobs._levels, count),
-                     trace.preemption_count,
-                     ([free_starts[0] + 1, *free_starts[1:]], free_ends))):
+    (begin, end), *idle = trace.idle_intervals
+    fields = (JobRecords(levels, len(trace.jobs)),
+              {**trace.response_times, "t1": trace.response_times["t1"] + 1},
+              trace.preemption_count + 1, ((begin + 1, end), *idle))
+    same = (trace.jobs, trace.response_times, trace.preemption_count,
+            trace.idle_intervals)
+    assert SimTrace(*same) == trace
+    for k in range(4):
+        variant = SimTrace(*same[:k], fields[k], *same[k + 1:])
         differing = [field for field in ("jobs", "response_times",
                                          "preemption_count", "idle_intervals")
                      if getattr(variant, field) != getattr(trace, field)]
@@ -368,9 +379,9 @@ def test_trace_fields_are_kept_and_compared_by_value(table1):
     for target in (fresh, trace):
         for field in ("jobs", "response_times", "preemption_count",
                       "idle_intervals", "anything"):
-            with pytest.raises(AttributeError, match="read-only"):
+            with pytest.raises(FrozenInstanceError):
                 setattr(target, field, None)
-            with pytest.raises(AttributeError, match="read-only"):
+            with pytest.raises(FrozenInstanceError):
                 delattr(target, field)
     assert fresh == trace
 
