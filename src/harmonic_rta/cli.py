@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import gettext
 import json
 import sys
 from dataclasses import dataclass, field
@@ -175,7 +176,10 @@ def _cross_validate(ts: TaskSet, index: int, primary: str, primary_wcrt,
         name = "fixed-point-jitter" if jittered else "fixed-point"
         known[name] = fixed_points[index]
     values = method_values(ts, index, jittered, known)
-    if len(set(values.values())) > 1:
+    # Compared with the first, not hashed into a set: a Fraction's hash
+    # runs Python code.  A fixed point always joins, so there is a first.
+    wcrts = list(values.values())
+    if wcrts.count(wcrts[0]) < len(wcrts):
         detail = ", ".join(f"{name}={value}" for name, value in
                            sorted(values.items()))
         raise CliError(
@@ -431,13 +435,19 @@ def _fraction(text: str) -> Fraction:
             f"invalid Fraction value: {text!r}") from None
 
 
-@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call in a process.
 
     Every caller gets the same parser.  Parsing leaves it unchanged, so
     every later `main` reuses it.
     """
+    return _parsers()[0]
+
+
+@functools.cache
+def _parsers() -> tuple[argparse.ArgumentParser,
+                        dict[str, argparse.ArgumentParser]]:
+    """The command-line parser and each subcommand's parser by name."""
     parser = argparse.ArgumentParser(
         prog="harmonic-rta",
         description="Worst-case response time analysis for preemptive "
@@ -506,11 +516,24 @@ def build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--output")
     exp.add_argument("--deterministic", action="store_true")
 
-    return parser
+    return parser, {"analyze": analyze, "check-jitter": check,
+                    "generate": gen, "experiment": exp}
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser, commands = _parsers()
+    command = commands.get(argv[0]) if argv else None
+    if command is None:
+        args = parser.parse_args(argv)
+    else:
+        # What the full parse does for a named subcommand, without first
+        # scanning every argument that the subcommand's parser scans again.
+        args, extra = command.parse_known_args(
+            argv[1:], argparse.Namespace(command=argv[0]))
+        if extra:
+            parser.error(gettext.gettext("unrecognized arguments: %s")
+                         % " ".join(extra))
     handlers = {
         "analyze": _run_analyze,
         "check-jitter": _run_check_jitter,

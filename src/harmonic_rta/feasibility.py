@@ -176,6 +176,10 @@ def _solve(view: OrderedView, last_jitter) -> FeasibilityResult:
         period, jit, after = periods[stage], jitters[stage], suffix[stage]
         stage += 1
         m_lo = -((jit + after - lb - j_last) // period)
+        if m_lo < 0:
+            # A shift count is never negative.  This needs a suffix wcet
+            # above T_1 (lb + J_last >= T_1 and jit < period), so U >= 1.
+            m_lo = 0
         m_hi = (ub + j_last - jit) // period
         if m_lo > m_hi:
             break

@@ -616,7 +616,7 @@ def test_parser_is_built_once_and_reused(table1_file, walkthrough_file,
     ]
     fresh = []
     for argv in calls:
-        cli.build_parser.cache_clear()
+        cli._parsers.cache_clear()
         fresh.append(_outcome(argv, capsys))
     assert fresh[0][0] == 2 and "invalid choice: 'bogus'" in fresh[0][2]
     assert [code for code, _, _ in fresh[1:]] == [0, 0, 0, 0]
@@ -629,7 +629,7 @@ def test_parser_is_built_once_and_reused(table1_file, walkthrough_file,
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    cli.build_parser.cache_clear()
+    cli._parsers.cache_clear()
     per_call = []
     for argv, expected in zip(calls, fresh):
         before = len(built)
@@ -637,6 +637,80 @@ def test_parser_is_built_once_and_reused(table1_file, walkthrough_file,
         per_call.append(len(built) - before)
     assert per_call[0] > 0
     assert per_call[1:] == [0, 0, 0, 0]
+
+
+# Argument lists that `main` parses straight with a subcommand's parser or
+# with the full parser; "{f}" stands for a task file.
+DISPATCH_ARGVS = {
+    "empty": [],
+    "help": ["-h"],
+    "unknown-command": ["bogus", "--input", "{f}"],
+    "leading-dashes": ["--", "analyze", "--input", "{f}", "--method",
+                       "harmonic"],
+    "analyze-help": ["analyze", "-h"],
+    "analyze": ["analyze", "--input", "{f}", "--method", "fixed-point-jitter",
+                "--target", "2", "--deterministic", "--cross-validate"],
+    "abbreviated": ["analyze", "--inp", "{f}", "--meth", "uniform-jitter",
+                    "--determ"],
+    "equals": ["analyze", "--input={f}", "--method=simulate",
+               "--deterministic"],
+    "extra-positionals": ["analyze", "--input", "{f}", "--method",
+                          "fixed-point-jitter", "one", "two"],
+    "unknown-option": ["analyze", "--input", "{f}", "--bogus", "1",
+                       "--method", "fixed-point-jitter"],
+    "invalid-method": ["analyze", "--input", "{f}", "--method", "bogus"],
+    "missing-input": ["analyze", "--method", "harmonic"],
+    "check-jitter": ["check-jitter", "--input", "{f}", "--deterministic"],
+    "generate": ["generate", "--n", "4", "--seed", "3", "--jitter-mode",
+                 "constrained", "--factor-range", "1", "2"],
+    "experiment": ["experiment", "feasibility-sweep", "--sets", "1", "--n",
+                   "3", "--deterministic"],
+    "experiment-bad-name": ["experiment", "bogus", "--sets", "1"],
+}
+
+
+@pytest.mark.parametrize("case", DISPATCH_ARGVS)
+def test_direct_dispatch_matches_the_full_parser(case, walkthrough_file,
+                                                 capsys, monkeypatch):
+    argv = [arg.replace("{f}", walkthrough_file)
+            for arg in DISPATCH_ARGVS[case]]
+    parsed = []
+    for name in ("_run_analyze", "_run_check_jitter", "cmd_generate",
+                 "cmd_experiment"):
+        handler = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda args, handler=handler: (
+            parsed.append(args), handler(args))[1])
+    direct = _outcome(argv, capsys), parsed[:]
+    # With no subcommand parser to dispatch to, every argv takes the
+    # full parser's route.
+    parser = cli.build_parser()
+    monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))
+    parsed.clear()
+    full = _outcome(argv, capsys), parsed[:]
+    assert direct == full
+    assert [repr(args) for args in direct[1]] == [repr(args)
+                                                 for args in full[1]]
+    (code, out, err), ran = direct
+    if case.endswith("help"):
+        assert code == 0 and out.startswith("usage: harmonic-rta")
+    elif ran:
+        assert code in (0, 1) and [args.command for args in ran] == argv[:1]
+    else:
+        assert code == 2 and err.startswith("usage: harmonic-rta")
+
+
+def test_main_without_argv_reads_sys_argv(walkthrough_file, capsys,
+                                         monkeypatch):
+    argv = ["check-jitter", "--input", walkthrough_file, "--deterministic"]
+    expected = _outcome(argv, capsys)
+    monkeypatch.setattr(sys, "argv", ["harmonic-rta", *argv])
+    assert _outcome(None, capsys) == expected == (0, expected[1], "")
+    monkeypatch.setattr(sys, "argv", ["harmonic-rta", "check-jitter",
+                                      "--input", walkthrough_file, "extra"])
+    code, out, err = _outcome(None, capsys)
+    assert (code, out) == (2, "")
+    assert err.endswith("harmonic-rta: error: unrecognized arguments: "
+                        "extra\n")
 
 
 def _run_optimized(script):

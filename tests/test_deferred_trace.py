@@ -9,7 +9,6 @@ same way.
 """
 
 import pickle
-import sys
 import threading
 from dataclasses import FrozenInstanceError
 
@@ -27,7 +26,7 @@ from harmonic_rta import (
     wcrt_uniform_jitter,
     wcrt_virtual_jitter,
 )
-from harmonic_rta import harmonic
+from harmonic_rta import harmonic, simulator
 from harmonic_rta.experiments import method_values
 from harmonic_rta.feasibility import _feasibility_view
 from harmonic_rta.harmonic import _staged_fixed_point, shared_jitter
@@ -146,45 +145,43 @@ def test_deferred_fields_stay_read_only(table1):
     assert result.trace == trace.stage_values
 
 
-def _read_at_once(reads):
-    """Each (object, name) read by its own thread, all released at once;
-    the (name, value) pairs, in finish order."""
+def test_threads_reading_one_trace_get_one_tuple(table1, monkeypatch):
+    # Two threads miss `response_times` at once and both build it.  The
+    # builder holds the second one until the first one's read has
+    # returned, so the second stores last; it must still return the
+    # first one's value.
+    cfg = SimConfig(360, tuple(t.jitter for t in table1))
+    reference = simulate(table1, cfg)
+    expected = reference.response_times
+    both_inside = threading.Barrier(2, timeout=10)
+    first_read = threading.Event()
+    build = simulator._maxima
+
+    def held_build(levels):
+        value = build(levels)
+        if both_inside.wait():
+            assert first_read.wait(timeout=10)
+        return value
+
+    monkeypatch.setattr(simulator, "_maxima", held_build)
+    sim = simulate(table1, cfg)
     seen = []
-    barrier = threading.Barrier(len(reads), timeout=10)
 
-    def read(obj, name):
-        barrier.wait()
-        seen.append((name, getattr(obj, name)))
+    def read():
+        seen.append(sim.response_times)
+        first_read.set()
 
-    workers = [threading.Thread(target=read, args=pair) for pair in reads]
+    workers = [threading.Thread(target=read) for _ in range(2)]
     for worker in workers:
         worker.start()
     for worker in workers:
         worker.join(timeout=10)
         assert not worker.is_alive()
-    assert len(seen) == len(reads)
-    return seen
-
-
-def test_threads_reading_one_trace_get_one_tuple(table1):
-    # More threads than cores and a short switch interval, so reads
-    # interleave inside the first build.
-    offsets = tuple(t.jitter for t in table1)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for _ in range(200):
-            result, trace = wcrt_uniform_jitter(table1, 5, 8)
-            seen = _read_at_once([(result, "trace"),
-                                  (trace, "stage_values")] * 2)
-            assert all(values is result.trace for _, values in seen)
-            # Two deferred fields of one simulated trace, built at once.
-            sim = simulate(table1, SimConfig(360, offsets))
-            seen = _read_at_once([(sim, "response_times"),
-                                  (sim, "idle_intervals")] * 2)
-            assert all(value is getattr(sim, name) for name, value in seen)
-    finally:
-        sys.setswitchinterval(interval)
+    assert len(seen) == 2 and seen[0] is seen[1] is sim.response_times
+    assert seen[0] == expected and seen[0] is not expected
+    # The other deferred field is still pending, and built once.
+    assert "idle_intervals" not in vars(sim)
+    assert sim.idle_intervals is sim.idle_intervals == reference.idle_intervals
 
 
 def test_sim_traces_survive_pickle(table1):

@@ -92,6 +92,23 @@ def test_feasible_pair_frozen():
     assert witnesses == [(1, 15)]
 
 
+@pytest.mark.parametrize("periods, jitters, m", [
+    ((2, 2, 2, 2, 2, 1), (0, 1, 1, 0, 1, 0), (1, 0, 0, 2, 1, 4)),
+    ((2, 2, 2, 2, 2, 2, 1), (0, 0, 1, 1, 1, 0, 0), (1, 0, 0, 0, 1, 2, 4)),
+    ((2, 2, 1, 1, 1, 1, 1), (1, 1, 0, 0, 0, 0, 0), (1, 0, 0, 4, 4, 4, 4)),
+])
+def test_greedy_never_keeps_a_negative_shift_count(periods, jitters, m):
+    # U >= 1 on raw arrays.  Without the clamp at 0 the greedy kept a
+    # count of -1, and its self-check raised although brute force has a
+    # witness.
+    wcets = (1,) * len(periods)
+    fr = solve_feasibility_arrays(periods, wcets, jitters)
+    assert fr.is_feasible and fr.m == m
+    assert satisfies_constraints(periods, wcets, jitters, m)
+    assert min(b.lower_m for b in fr.branches) == 0
+    assert m[-1] in brute_force_last_values(periods, wcets, jitters, 10)[0]
+
+
 @pytest.mark.parametrize("periods, jitters, message", [
     ((1, 1), (0, 2), r"jitters\[1\]=2 is outside \[0, 1\)"),
     ((10, 5), (0, 5), r"jitters\[1\]=5 is outside \[0, 5\)"),
