@@ -308,7 +308,6 @@ def cmd_generate(args) -> int:
             factor_range=tuple(args.factor_range),
             jitter_mode=args.jitter_mode,
             alpha=args.alpha,
-            seed=args.seed,
         )
     except ValueError as exc:
         raise CliError(str(exc)) from exc
@@ -435,19 +434,14 @@ def _fraction(text: str) -> Fraction:
             f"invalid Fraction value: {text!r}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser, built on the first call in a process.
-
-    Every caller gets the same parser.  Parsing leaves it unchanged, so
-    every later `main` reuses it.
-    """
-    return _parsers()[0]
-
-
 @functools.cache
 def _parsers() -> tuple[argparse.ArgumentParser,
                         dict[str, argparse.ArgumentParser]]:
-    """The command-line parser and each subcommand's parser by name."""
+    """The command-line parser and each subcommand's parser by name.
+
+    They are built on the first call in a process.  Parsing leaves them
+    unchanged, so every later `main` reuses them.
+    """
     parser = argparse.ArgumentParser(
         prog="harmonic-rta",
         description="Worst-case response time analysis for preemptive "

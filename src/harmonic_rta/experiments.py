@@ -271,19 +271,6 @@ def method_result(ts: TaskSet, index: int, method: str):
     outside EXACT_METHODS raises ValueError.
     """
     method = _runs_as(method, index)
-    if method == "fixed-point":
-        ordered_view(ts, index)  # an index out of range fails before the scan
-        task = _first_jittered(ts, index)
-        if task is not None:
-            raise JitterPresent(
-                f"method fixed-point requires a jitter-free task set, but "
-                f"task {task.id} has jitter {task.jitter}")
-    return _run_method(ts, index, method)
-
-
-def _run_method(ts: TaskSet, index: int, method: str):
-    """method_result for a name `_runs_as` leaves as it is, without the
-    fixed-point guard."""
     if method == "virtual-jitter":
         feas = solve_feasibility(ts, index)
         return (wcrt_virtual_jitter(ts, index, feas) if feas.is_feasible
@@ -297,6 +284,12 @@ def _run_method(ts: TaskSet, index: int, method: str):
     if method == "exclusion":
         return wcrt_exclusion_model(ts, index)
     if method == "fixed-point":
+        ordered_view(ts, index)  # an index out of range fails before the scan
+        task = _first_jittered(ts, index)
+        if task is not None:
+            raise JitterPresent(
+                f"method fixed-point requires a jitter-free task set, but "
+                f"task {task.id} has jitter {task.jitter}")
         return wcrt_fixed_point(ts, index)
     raise ValueError(f"unknown method {method!r}; expected one of "
                      f"{', '.join(EXACT_METHODS)}")
@@ -319,9 +312,6 @@ def method_values(ts: TaskSet, index: int, jittered: bool,
     """
     known = known or {}
     ran = {_runs_as(name, index) for name in known}
-    # Every name below is its own `_runs_as` (virtual jitter is left out at
-    # index 0), and `jittered` already settles the fixed-point guard, so
-    # each runs directly.
     names = (("harmonic", "fixed-point", "exclusion") if not jittered
              else ("fixed-point-jitter",) if index == 0
              else ("fixed-point-jitter", "virtual-jitter", "uniform-jitter"))
@@ -330,7 +320,7 @@ def method_values(ts: TaskSet, index: int, jittered: bool,
         if name in ran or (name == "uniform-jitter"
                            and not check_restricted_jitter(ts, index)):
             continue
-        result = _run_method(ts, index, name)
+        result = method_result(ts, index, name)
         if result is not None:
             values[name] = result.wcrt
     values.update((name, wcrt) for name, wcrt in known.items()
@@ -345,7 +335,7 @@ def _cross_check_chunk(
     max_tasks: int,
     jittered: bool,
     with_simulation: bool,
-    sim_job_cap: int | None,
+    sim_job_cap: int,
 ) -> list[CrossCheckRow]:
     rng = Rng(seed)
     jitter_mode = "constrained" if jittered else "none"
@@ -361,8 +351,7 @@ def _cross_check_chunk(
             if not want_horizon:
                 break
             horizon = first_job_sim_horizon(ts, values["harmonic"])
-            if (sim_job_cap is None
-                    or simulation_job_count(ts, horizon) <= sim_job_cap):
+            if simulation_job_count(ts, horizon) <= sim_job_cap:
                 break
         else:
             raise SamplingFailed(
@@ -389,7 +378,7 @@ def oracle_cross_check(
     max_tasks: int = 12,
     jittered: bool = False,
     with_simulation: bool = True,
-    sim_job_cap: int | None = DEFAULT_SIM_JOB_CAP,
+    sim_job_cap: int = DEFAULT_SIM_JOB_CAP,
     seed: int = 0,
     jobs: int = 1,
 ) -> list[CrossCheckRow]:
@@ -405,7 +394,7 @@ def oracle_cross_check(
     ValueError before any draw: every set has at least two tasks, so its
     simulation at least two first jobs.
     """
-    if sim_job_cap is not None and sim_job_cap < 2:
+    if sim_job_cap < 2:
         raise ValueError(f"sim_job_cap must be >= 2, got {sim_job_cap}")
     args_list = [(seed + g, count, g * CHUNK_SIZE, max_tasks, jittered,
                   with_simulation, sim_job_cap)

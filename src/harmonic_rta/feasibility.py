@@ -229,17 +229,12 @@ def _solve(view: OrderedView, last_jitter) -> FeasibilityResult:
             f"period {t_last // scale}")
     if k > 1:
         chosen_m.append(lb // t_last)
-    result = FeasibilityResult(FEASIBLE, tuple(chosen_m),
-                               last_jitter + lb // scale, None,
-                               tuple(trace), tuple(branches))
-    _verify(view, result.m)
-    return result
-
-
-def _verify(view: OrderedView, m) -> None:
-    if not satisfies_constraints(view.periods, view.wcets, view.jitters, m):
+    m = tuple(chosen_m)
+    if not satisfies_constraints(periods, view.wcets, jitters, m):
         raise SolverCheckFailed(
             f"shift counts {m} violate the shift system they were solved for")
+    return FeasibilityResult(FEASIBLE, m, last_jitter + lb // scale, None,
+                             tuple(trace), tuple(branches))
 
 
 def brute_force_last_values(periods, wcets, jitters, last_cap: int):

@@ -119,7 +119,6 @@ class GenConfig:
     factor_range: tuple[int, int] = (1, 4)
     jitter_mode: str = JITTER_NONE
     alpha: Fraction = Fraction(1)
-    seed: int = 0
     integer_wcets: bool = True
 
     def __post_init__(self):
@@ -324,8 +323,7 @@ def _draw_tasks(config: GenConfig, rng: Rng) -> tuple[list[Task], int, int]:
     raise SamplingFailed(_GAVE_UP)
 
 
-def generate_interference_set(config: GenConfig, rng: Rng | None = None
-                              ) -> TaskSet:
+def generate_interference_set(config: GenConfig, rng: Rng) -> TaskSet:
     """One random interfering task set (the higher-priority set of a target).
 
     Priority 1 is assigned to the largest period and so on downward, so the
@@ -334,12 +332,11 @@ def generate_interference_set(config: GenConfig, rng: Rng | None = None
     validated (resampling on utilization overload from rounding); raw sets
     keep exact rational wcets and relaxed validation.
     """
-    rng = Rng(config.seed) if rng is None else rng
     tasks, _, _ = _draw_tasks(config, rng)
     return validate(tasks, relaxed=not config.integer_wcets)
 
 
-def generate_with_target(config: GenConfig, rng: Rng | None = None) -> TaskSet:
+def generate_with_target(config: GenConfig, rng: Rng) -> TaskSet:
     """An interfering set plus a lowest-priority analysis target.
 
     The target extends the harmonic chain by one factor draw (doubled as
@@ -348,7 +345,6 @@ def generate_with_target(config: GenConfig, rng: Rng | None = None) -> TaskSet:
     jittered modes) its own jitter below its period.  config.task_count
     counts the higher-priority tasks.  Only the whole set is validated.
     """
-    rng = Rng(config.seed) if rng is None else rng
     lo, hi = config.factor_range
     tasks, busy, whole = _draw_tasks(config, rng)
     period = tasks[0].period * rng.randint(lo, hi)

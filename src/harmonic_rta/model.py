@@ -318,10 +318,7 @@ class OrderedView:
         """
         if self._rates is None:
             periods = self.periods
-            if self.nondividing is None:
-                lcm = periods[0] if periods else 1
-            else:
-                lcm = math.lcm(*periods)
+            lcm = math.lcm(*periods)
             unum = [w * (lcm // t) for t, w in zip(periods, self.wcets)]
             self._rates = (lcm, unum, sum(unum))
         return self._rates

@@ -147,16 +147,6 @@ class SimTrace(_Deferred):
             raise KeyError(
                 f"no first job recorded for task {task_id!r}") from None
 
-    def to_tsv(self) -> str:
-        """One line per job: task, job, arrival, release, start, finish."""
-        lines = ["\t".join(("task", "job", "arrival", "release", "start",
-                            "finish"))]
-        for j in self.jobs:
-            lines.append("\t".join(str(v) for v in (
-                j.task_id, j.job_index, j.arrival, j.release, j.start,
-                j.finish)))
-        return "\n".join(lines) + "\n"
-
 
 def _maxima(levels: dict) -> dict:
     """Task id -> largest response, from the per-level columns."""

@@ -683,7 +683,7 @@ def test_direct_dispatch_matches_the_full_parser(case, walkthrough_file,
     direct = _outcome(argv, capsys), parsed[:]
     # With no subcommand parser to dispatch to, every argv takes the
     # full parser's route.
-    parser = cli.build_parser()
+    parser = cli._parsers()[0]
     monkeypatch.setattr(cli, "_parsers", lambda: (parser, {}))
     parsed.clear()
     full = _outcome(argv, capsys), parsed[:]

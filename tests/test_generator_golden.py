@@ -36,13 +36,14 @@ UTILIZATIONS = (Fraction(1, 100), Fraction(1, 2), Fraction(9, 10),
 def _configs():
     """Every mode, wcet kind, factor range and base period.  Sets of 25 and
     200 tasks are drawn only over base periods of at least 1000: below
-    that, most of them cannot fit and each costs a full sampling budget."""
+    that, most of them cannot fit and each costs a full sampling budget.
+    The tests draw config k from Rng(k)."""
     cases = [case for case in product(MODES, (True, False), FACTORS, BASES,
                                       COUNTS)
              if case[4] <= 8 or case[3] >= 1000]
     return [GenConfig(task_count=n, total_utilization=UTILIZATIONS[k % 4],
                       base_period=base, factor_range=factors,
-                      jitter_mode=mode, integer_wcets=integer, seed=k)
+                      jitter_mode=mode, integer_wcets=integer)
             for k, (mode, integer, factors, base, n) in enumerate(cases)]
 
 
@@ -64,7 +65,8 @@ def _digest(lines) -> str:
 
 
 def test_interference_sets_are_unchanged():
-    results = [_draw(generate_interference_set, cfg) for cfg in _configs()]
+    results = [_draw(generate_interference_set, cfg, Rng(k))
+               for k, cfg in enumerate(_configs())]
     assert sum(isinstance(r, SamplingFailed) for r in results) == 60
     assert _digest(map(_line, results)) == (
         "f71ef086779690d0313fc09acafbc6da13ec5ee6807796beee87070962160e9c")
@@ -72,7 +74,8 @@ def test_interference_sets_are_unchanged():
 
 def test_sets_with_target_are_unchanged():
     configs = _configs()
-    results = [_draw(generate_with_target, cfg) for cfg in configs]
+    results = [_draw(generate_with_target, cfg, Rng(k))
+               for k, cfg in enumerate(configs)]
     assert sum(isinstance(r, SamplingFailed) for r in results) == 60
     # A target period above the largest factor times the largest
     # interfering period was doubled at least once.

@@ -209,16 +209,6 @@ def remaining_wcet(ts, task_id):
     raise KeyError(task_id)
 
 
-def test_trace_to_tsv(table1):
-    trace = simulate(table1, SimConfig(horizon=360))
-    text = trace.to_tsv()
-    lines = text.strip().split("\n")
-    assert lines[0].split("\t") == ["task", "job", "arrival", "release",
-                                    "start", "finish"]
-    assert len(lines) == len(trace.jobs) + 1
-    assert isinstance(trace, SimTrace)
-
-
 def test_response_times_are_per_task_maxima(table1):
     trace = simulate(table1, SimConfig(horizon=360))
     for task_id, worst in trace.response_times.items():
