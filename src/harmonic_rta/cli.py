@@ -39,6 +39,7 @@ from .generator import (
 )
 from .harmonic import _first_jittered
 from .model import (
+    Task,
     TaskSet,
     load_tasks,
     read_task_document,
@@ -65,13 +66,12 @@ class CliError(Exception):
     """User-facing command error; rendered to stderr with exit code 2."""
 
 
-def format_decimal(value, places: int = 6) -> str:
-    """Correctly rounded fixed-point rendering of a non-negative rational."""
+def format_decimal(value) -> str:
+    """Correctly rounded 6-place rendering of a non-negative rational."""
     value = Fraction(value)
-    scale = 10 ** places
-    scaled = (2 * value.numerator * scale + value.denominator) // (
-        2 * value.denominator)
-    return f"{scaled // scale}.{scaled % scale:0{places}d}"
+    whole, micros = divmod((2 * value.numerator * 10**6 + value.denominator)
+                           // (2 * value.denominator), 10**6)
+    return f"{whole}.{micros:06d}"
 
 
 def _timestamp() -> str:
@@ -82,15 +82,11 @@ def _timestamp() -> str:
 class ReportRow:
     """One per-task analysis row; wcrt None marks an infeasible verdict."""
 
-    task_id: str
-    period: int
-    wcet: int
-    deadline: int
-    jitter: int
+    task: Task
     method: str
-    wcrt: Fraction | None
-    schedulable: bool | None
-    steps: int | None
+    wcrt: Fraction | None = None
+    schedulable: bool | None = None
+    steps: int | None = None
 
 
 @dataclass
@@ -118,25 +114,20 @@ class AnalysisReport:
             else:
                 sched = "true" if row.schedulable else "false"
             steps = "" if row.steps is None else row.steps
-            lines.append(f"{row.task_id},{row.period},{row.wcet},"
-                         f"{row.deadline},{row.jitter},{row.method},"
+            task = row.task
+            lines.append(f"{task.id},{task.period},{task.wcet},"
+                         f"{task.deadline},{task.jitter},{row.method},"
                          f"{num},{den},{dec},{sched},{steps}")
         return _csv(self.metadata, "id,T,C,D,J,method,wcrt_num,wcrt_den,"
                     "wcrt_decimal,schedulable,steps", lines)
 
 
-def _row(task, method, wcrt=None, schedulable=None, steps=None) -> ReportRow:
-    """The report row of one task; no wcrt marks an infeasible verdict."""
-    return ReportRow(task.id, task.period, int(task.wcet), task.deadline,
-                     task.jitter, method, wcrt, schedulable, steps)
-
-
 def _analyze_one(ts: TaskSet, index: int, method: str) -> ReportRow:
     result = method_result(ts, index, method)
     if result is None:
-        return _row(ts[index], method)
-    return _row(ts[index], method, result.wcrt, result.schedulable,
-                result.iterations)
+        return ReportRow(ts[index], method)
+    return ReportRow(ts[index], method, result.wcrt, result.schedulable,
+                     result.iterations)
 
 
 def _simulate_rows(ts: TaskSet, targets: list[int],
@@ -161,7 +152,8 @@ def _simulate_rows(ts: TaskSet, targets: list[int],
         task = ts[i]
         response = Fraction(trace.first_response(task.id))
         ok = task.jitter + response <= task.deadline
-        rows.append(_row(task, "simulate", response, ok, len(trace.jobs)))
+        rows.append(ReportRow(task, "simulate", response, ok,
+                              len(trace.jobs)))
     return rows
 
 
@@ -201,9 +193,9 @@ def cmd_analyze(input_path: str, method: str, target: str = "all", *,
     report.metadata["method"] = method
     report.metadata["target"] = target
     # Files written by the generate subcommand carry their seed at the top
-    # level; anything else yields no seed metadata.
+    # level; anything else, a boolean too, yields no seed metadata.
     seed = doc.get("seed")
-    if isinstance(seed, int):
+    if type(seed) is int:
         report.metadata["seed"] = seed
     if not deterministic:
         report.metadata["timestamp"] = _timestamp()
@@ -300,17 +292,14 @@ def cmd_generate(args) -> int:
     if args.count < 1:
         raise CliError("--count must be >= 1")
     hp_count = args.n - 1 if args.with_target else args.n
-    try:
-        config = GenConfig(
-            task_count=hp_count,
-            total_utilization=args.utilization,
-            base_period=args.base_period,
-            factor_range=tuple(args.factor_range),
-            jitter_mode=args.jitter_mode,
-            alpha=args.alpha,
-        )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
+    config = GenConfig(
+        task_count=hp_count,
+        total_utilization=args.utilization,
+        base_period=args.base_period,
+        factor_range=tuple(args.factor_range),
+        jitter_mode=args.jitter_mode,
+        alpha=args.alpha,
+    )
     make = generate_with_target if args.with_target else generate_interference_set
     rng = Rng(args.seed)
 

@@ -20,7 +20,7 @@ from operator import add, ge
 
 from .model import (OrderedView, TaskSet, _Deferred, _deferred, _ratio,
                     _reduced, ordered_view)
-from .rta import NonConvergent, RtaResult, _iterate
+from .rta import RtaResult, _converging_rates, _iterate
 
 
 class JitterPresent(ValueError):
@@ -67,11 +67,7 @@ def _staged_fixed_point(view: OrderedView, const: int, jitter: int,
     So the loop carries only reach = (A + J)*lcm and free = (1 -
     U_later(s))*lcm, and builds each stage value from them with one gcd.
     """
-    lcm, unums, total = view.rates()
-    if total >= lcm:
-        raise NonConvergent(
-            f"higher-priority utilization {view.utilization} >= 1: "
-            f"no fixed point")
+    lcm, unums, total = _converging_rates(view)
     scale = view.scale
     reach = (const + jitter) * lcm
     free = lcm - total

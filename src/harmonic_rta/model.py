@@ -60,10 +60,6 @@ class Task:
     priority: int = 1
     id: str = ""
 
-    @property
-    def utilization(self) -> Fraction:
-        return Fraction(self.wcet) / self.period
-
 
 def _task_id(priority: int) -> str:
     """The id of a task that was given none."""
@@ -97,15 +93,12 @@ class PiOrder:
     """Higher-priority tasks of one target, sorted by non-increasing period.
 
     `order` holds indices into the TaskSet; consecutive periods divide each
-    other (largest first).  `cumulative_wcet[k]` / `cumulative_util[k]` are the
-    exact suffix sums over the tasks strictly after position k, so the last
-    entry of each is zero.
+    other (largest first).  `cumulative_wcet[k]` is the exact sum of the
+    wcets of the tasks strictly after position k, so its last entry is zero.
     """
 
-    target_index: int
     order: tuple[int, ...]
     cumulative_wcet: tuple[Fraction | int, ...]
-    cumulative_util: tuple[Fraction, ...]
 
 
 def _require_int(value, what: str, task_label: str):
@@ -185,14 +178,11 @@ def pi_order(ts: TaskSet, target_index: int) -> PiOrder:
     """Sort the target's higher-priority tasks by non-increasing period,
     ties by non-decreasing jitter, then priority.
 
-    This is the order and the suffix sums of `ordered_view(ts, target_index)`,
-    back in task time units.
+    This is the order and the wcet suffix sums of
+    `ordered_view(ts, target_index)`, back in task time units.
     """
     view = ordered_view(ts, target_index)
-    lcm, unum, _ = view.rates()
-    return PiOrder(target_index, view.order,
-                   tuple(view.unscaled(view.suffix_wcet)),
-                   tuple([_ratio(u, lcm) for u in _suffix_sums(unum)]))
+    return PiOrder(view.order, tuple(view.unscaled(view.suffix_wcet)))
 
 
 def _reduced(num: int, den: int) -> Fraction:
@@ -322,11 +312,6 @@ class OrderedView:
             unum = [w * (lcm // t) for t, w in zip(periods, self.wcets)]
             self._rates = (lcm, unum, sum(unum))
         return self._rates
-
-    @property
-    def utilization(self) -> Fraction:
-        lcm, _, total = self.rates()
-        return Fraction(total, lcm)
 
     def scaled(self, value) -> int:
         """An int or Fraction time (a multiple of 1/scale) in view units."""
@@ -458,7 +443,7 @@ def read_task_document(path: str):
             f"{path}: JSON nested too deeply to read") from exc
 
 
-def tasks_from_dict(doc, where: str = "<input>") -> TaskSet:
+def tasks_from_dict(doc, where: str) -> TaskSet:
     """Build a strict TaskSet from a parsed task-file document."""
     if not isinstance(doc, dict) or "tasks" not in doc:
         raise TaskModelError(f"{where}: expected an object with a 'tasks' array")

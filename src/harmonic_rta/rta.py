@@ -52,6 +52,16 @@ class RtaResult(_Deferred):
         return cls(wcrt, iterations, trace, margin >= 0, margin)
 
 
+def _converging_rates(view: OrderedView) -> tuple:
+    """`view.rates()`; NonConvergent when the higher-priority utilization
+    is >= 1."""
+    lcm, unum, total = view.rates()
+    if total >= lcm:
+        raise NonConvergent(f"higher-priority utilization {Fraction(total, lcm)}"
+                            f" >= 1: no fixed point exists")
+    return lcm, unum, total
+
+
 def _iterate(view: OrderedView, offsets, start) -> tuple:
     """Least fixed point of t = C_n + sum C_i*ceil((t - O_i)/T_i).
 
@@ -62,11 +72,7 @@ def _iterate(view: OrderedView, offsets, start) -> tuple:
     by default the exact rational weighted start.  A given start above
     both C_n and the weighted start raises ValueError.
     """
-    lcm, _, total = view.rates()
-    if total >= lcm:
-        raise NonConvergent(
-            f"higher-priority utilization {view.utilization} >= 1: "
-            f"no fixed point exists")
+    _converging_rates(view)
     scale = view.scale
     wcet = view.target_wcet
     if start is None:

@@ -69,10 +69,6 @@ class Job(NamedTuple):
     start: int
     finish: int
 
-    @property
-    def response(self) -> int:
-        return self.finish - self.release
-
 
 class JobRecords(Sequence):
     """The jobs of one simulation: a read-only sequence of Job records.

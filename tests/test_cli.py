@@ -416,6 +416,18 @@ def test_generate_seed_metadata_reaches_analyze(tmp_path, capsys,
     assert opened.count(str(dest)) == 1
 
 
+def test_boolean_seed_yields_no_seed_metadata(table1_file, capsys):
+    path = Path(table1_file)
+    doc = json.loads(path.read_text())
+    doc["seed"] = True
+    path.write_text(json.dumps(doc))
+    rc, out, _ = run_cli(["analyze", "--input", table1_file, "--method",
+                          "fixed-point-jitter", "--deterministic"], capsys)
+    assert rc == 0
+    assert not [line for line in out.splitlines()
+                if line.startswith("# seed=")]
+
+
 def test_generate_batch(tmp_path, capsys):
     prefix = str(tmp_path / "batch")
     rc, out, _ = run_cli(["generate", "--n", "3", "--seed", "1", "--count",
@@ -883,7 +895,7 @@ def test_format_decimal():
     assert format_decimal(Fraction(1, 3)) == "0.333333"
     assert format_decimal(Fraction(2, 3)) == "0.666667"
     assert format_decimal(Fraction(72)) == "72.000000"
-    assert format_decimal(Fraction(1, 8), places=3) == "0.125"
+    assert format_decimal(Fraction(1, 8)) == "0.125000"
     # Ties round up.
-    assert format_decimal(Fraction(125, 1000), places=2) == "0.13"
+    assert format_decimal(Fraction(1234565, 10**7)) == "0.123457"
     assert format_decimal(Fraction(19, 20)) == "0.950000"

@@ -116,14 +116,11 @@ def test_pi_order_suffix_sums(table1):
     for ts in (table1, mk(RELAXED_ROWS, relaxed=True)):
         pi = pi_order(ts, len(ts) - 1)
         wcets = [ts[i].wcet for i in pi.order]
-        utils = [ts[i].utilization for i in pi.order]
         k = len(wcets)
         assert pi.cumulative_wcet[k - 1] == 0
         for i in range(k - 1):
             assert (pi.cumulative_wcet[i]
                     == pi.cumulative_wcet[i + 1] + wcets[i + 1])
-        for i in range(k):
-            assert pi.cumulative_util[i] == sum(utils[i + 1:], Fraction(0))
 
 
 def test_pi_order_periods_divide(table1):
@@ -207,7 +204,8 @@ def test_total_utilization_is_the_exact_fraction_sum():
         ts = mk(rows, relaxed=True)
         total = ts.total_utilization
         assert type(total) is Fraction
-        assert total == sum((t.utilization for t in ts), Fraction(0))
+        assert total == sum((Fraction(t.wcet, t.period) for t in ts),
+                            Fraction(0))
     with pytest.raises(UtilizationOverload,
                        match=r"^total utilization 11/10 >= 1$"):
         mk([(10, 6, 0), (10, 5, 0)])

@@ -14,6 +14,7 @@ from harmonic_rta import (
     validate,
     wcrt_fixed_point,
     wcrt_fixed_point_jitter,
+    wcrt_harmonic,
 )
 from conftest import TABLE1_WCRTS, brute_wcrt, mk
 
@@ -81,6 +82,19 @@ def test_non_convergent_on_saturated_hp():
         wcrt_fixed_point(ts, 2)
     with pytest.raises(NonConvergent):
         wcrt_fixed_point_jitter(ts, 2)
+
+
+def test_fixed_point_and_staged_share_the_overload_message():
+    # Higher-priority utilization 1/2 + 3/4 = 5/4.
+    ts = validate([Task(2, 1, 2, 0, 1), Task(4, 3, 4, 0, 2),
+                   Task(4, 1, 4, 0, 3)], relaxed=True)
+    messages = set()
+    for fn in (wcrt_fixed_point, wcrt_harmonic):
+        with pytest.raises(NonConvergent) as info:
+            fn(ts, 2)
+        messages.add(str(info.value))
+    assert messages == {
+        "higher-priority utilization 5/4 >= 1: no fixed point exists"}
 
 
 def test_start_above_the_weighted_lower_bound_is_rejected():

@@ -212,7 +212,8 @@ def remaining_wcet(ts, task_id):
 def test_response_times_are_per_task_maxima(table1):
     trace = simulate(table1, SimConfig(horizon=360))
     for task_id, worst in trace.response_times.items():
-        observed = max(j.response for j in trace.jobs if j.task_id == task_id)
+        observed = max(j.finish - j.release for j in trace.jobs
+                       if j.task_id == task_id)
         assert worst == observed
 
 
@@ -248,7 +249,8 @@ def test_trace_order_facts():
                 assert priority[a.task_id] < priority[b.task_id]
         assert list(trace.response_times) == [t.id for t in ts]
         for t in ts:
-            worst = max(j.response for j in trace.jobs if j.task_id == t.id)
+            worst = max(j.finish - j.release for j in trace.jobs
+                        if j.task_id == t.id)
             assert trace.response_times[t.id] == worst
     assert (checked, overloaded, wide) == (218, 13, 19)
 
@@ -305,8 +307,8 @@ def test_job_count_and_first_response_build_no_record(table1, monkeypatch):
         trace.jobs[0]
     monkeypatch.undo()
     assert count == simulation_job_count(table1, 360) == len(list(trace.jobs))
-    assert firsts == {job.task_id: job.response for job in trace.jobs
-                      if job.job_index == 0}
+    assert firsts == {job.task_id: job.finish - job.release
+                      for job in trace.jobs if job.job_index == 0}
     assert preemptions == unit_step_schedule(table1, 360, (0,) * 6)[1]
 
 

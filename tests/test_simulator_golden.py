@@ -162,5 +162,5 @@ def test_first_responses_match_built_first_jobs():
     for ts, horizon in _plain_corpus_sets():
         trace = simulate(ts, SimConfig(horizon=horizon))
         firsts = {task.id: trace.first_response(task.id) for task in ts}
-        assert firsts == {job.task_id: job.response for job in trace.jobs
-                          if job.job_index == 0}
+        assert firsts == {job.task_id: job.finish - job.release
+                          for job in trace.jobs if job.job_index == 0}
