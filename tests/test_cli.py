@@ -4,10 +4,12 @@ import argparse
 import builtins
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
 from collections import Counter
+from datetime import datetime, timedelta, timezone
 from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
@@ -367,6 +369,52 @@ def test_check_jitter_single_task(tmp_path, capsys):
                          capsys)
     assert rc == 0
     assert "feasible, m=(1), J'_max=150" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-jitter"],
+    ["experiment", "heuristic-quality", "--sets", "2", "--n", "2",
+     "--utilization", "1/2"],
+    ["experiment", "feasibility-sweep", "--sets", "1", "--n", "2"],
+    ["experiment", "oracle-cross-check", "--sets", "1", "--n", "2",
+     "--no-simulation"],
+])
+def test_report_metadata_ends_with_a_utc_timestamp(argv, walkthrough_file,
+                                                    capsys):
+    if argv == ["check-jitter"]:
+        argv = argv + ["--input", walkthrough_file]
+    before = datetime.now(timezone.utc).replace(microsecond=0)
+    _, stamped, _ = run_cli(argv, capsys)
+    after = datetime.now(timezone.utc)
+    _, plain, _ = run_cli(argv + ["--deterministic"], capsys)
+    lines = stamped.splitlines()
+    comments = [line for line in lines if line.startswith("#")]
+    last = comments[-1]
+    assert last.startswith("# timestamp=")
+    stamp = datetime.fromisoformat(last[len("# timestamp="):])
+    assert stamp.utcoffset() == timedelta(0)
+    assert before <= stamp <= after
+    lines.remove(last)
+    assert lines == plain.splitlines()
+    assert not any(line.startswith("# timestamp=")
+                   for line in plain.splitlines())
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "expected an object with a 'tasks' array"),
+    ({"tasks": {"period": 10}}, "'tasks' must be an array"),
+    ({"tasks": [7]}, r"tasks\[0\] is not an object"),
+])
+def test_malformed_documents_exit_two_with_one_line(doc, message, tmp_path,
+                                                    capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    rc, out, err = run_cli(["analyze", "--input", str(path), "--method",
+                            "fixed-point"], capsys)
+    assert rc == 2 and out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("error:")
+    assert re.search(message, err)
 
 
 def test_generate_single_deterministic(tmp_path, capsys):

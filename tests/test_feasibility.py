@@ -26,7 +26,9 @@ from harmonic_rta import (
 )
 from harmonic_rta.feasibility import (
     FEASIBLE,
+    INFEASIBLE,
     Branch,
+    InfeasibleInput,
     brute_force_last_values,
     satisfies_constraints,
     solve_feasibility_arrays,
@@ -107,6 +109,36 @@ def test_greedy_never_keeps_a_negative_shift_count(periods, jitters, m):
     assert satisfies_constraints(periods, wcets, jitters, m)
     assert min(b.lower_m for b in fr.branches) == 0
     assert m[-1] in brute_force_last_values(periods, wcets, jitters, 10)[0]
+
+
+def test_greedy_clamps_the_lower_window_to_the_current_one():
+    # U = 3.75 on raw arrays.  The lower candidate's window at stages 2
+    # and 3 reaches above the current upper bound, which clamps it.
+    periods, wcets, jitters = (8, 4, 2, 2, 1), (2, 4, 1, 2, 1), (7, 3, 1, 1, 0)
+    fr = solve_feasibility_arrays(periods, wcets, jitters)
+    assert fr.is_feasible
+    assert fr.m == (1, 5, 11, 11, 23)
+    assert fr.virtual_jitter_max == 23
+    assert fr.bound_trace == ((15, 23), (23, 23), (23, 23), (23, 23))
+    assert fr.branches == (Branch(2, 2, 5, 0, 0, "upper"),
+                           Branch(3, 10, 11, 0, 0, "upper"))
+    assert satisfies_constraints(periods, wcets, jitters, fr.m)
+    values, witnesses = brute_force_last_values(periods, wcets, jitters, 40)
+    assert values[0] == 15
+    assert witnesses[0] == (1, 2, 6, 7, 15)
+
+
+@pytest.mark.parametrize("periods, good, bad", [
+    ((10, 5), (1, 3), (1,)),
+    ((10,), (1,), (-1,)),
+    ((10,), (1,), (1.0,)),
+])
+def test_constraints_reject_malformed_counts(periods, good, bad):
+    # The negative and the float count meet every inequality; only the
+    # count check rejects them.
+    wcets, jitters = (1,) * len(periods), (5,) + (0,) * (len(periods) - 1)
+    assert satisfies_constraints(periods, wcets, jitters, good)
+    assert not satisfies_constraints(periods, wcets, jitters, bad)
 
 
 @pytest.mark.parametrize("periods, jitters, message", [
@@ -317,6 +349,18 @@ def test_virtual_jitter_single_hp_zero_jitter():
     result = wcrt_virtual_jitter(ts, 1, fr)
     plain, _ = wcrt_harmonic(ts, 1)
     assert result.wcrt == plain.wcrt
+
+
+def test_virtual_jitter_rejects_unusable_solutions(walkthrough):
+    rows = [(t.period, t.wcet, t.jitter) for t in walkthrough]
+    ts = mk(list(rows) + [(240, 1, 0)])
+    infeasible = FeasibilityResult(INFEASIBLE, None, None, 1, ())
+    with pytest.raises(InfeasibleInput, match="^need a feasible shift"):
+        wcrt_virtual_jitter(ts, 5, infeasible)
+    short = FeasibilityResult(FEASIBLE, (1, 3), 480, None, ())
+    with pytest.raises(InfeasibleInput,
+                       match="^solution covers 2 tasks, target has 5$"):
+        wcrt_virtual_jitter(ts, 5, short)
 
 
 def test_restricted_jitter_equals_uniform_oracle():
