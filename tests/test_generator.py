@@ -258,6 +258,13 @@ def test_config_validation():
                   base_period=0)
 
 
+@pytest.mark.parametrize("factor_range", [(2,), (1, 2, 3), ()])
+def test_factor_range_needs_exactly_two_ints(factor_range):
+    with pytest.raises(ValueError, match="^factor_range must hold two ints"):
+        GenConfig(task_count=3, total_utilization=Fraction(1, 2),
+                  factor_range=factor_range)
+
+
 @pytest.mark.parametrize("generate", [generate_interference_set,
                                       generate_with_target])
 @pytest.mark.parametrize("field, value", [
