@@ -231,23 +231,14 @@ def simulate(ts: TaskSet, cfg: SimConfig) -> SimTrace:
                     starts.insert(m + 1, finish)
                 else:
                     starts[m] = finish
-            elif finish == end:
-                if head < start:
-                    ends[m] = start
-                else:
-                    del starts[m]
-                    del ends[m]
             else:
-                # Run on in free intervals m+1..last until wcet units are
-                # done; each gap before one of them is a preemption.
-                left = finish - end
-                last = m + 1
-                begin = starts[last]
-                while ends[last] - begin < left:
-                    left -= ends[last] - begin
+                # Run on in free intervals m..last until wcet units are
+                # done; each gap passed is a preemption and moves the
+                # finish past it.
+                last = m
+                while finish > ends[last]:
+                    finish += starts[last + 1] - ends[last]
                     last += 1
-                    begin = starts[last]
-                finish = begin + left
                 preemptions += last - m
                 # Give back [finish, ends[last]) and [head, start), drop the
                 # rest.
