@@ -89,24 +89,23 @@ def _iterate(view: OrderedView, offsets, start) -> tuple:
             raise ValueError(f"start {start} is above the weighted lower "
                              f"bound {bound} of the least fixed point")
     num, den = start.numerator * scale, start.denominator
-
+    # The start x may be rational, but ceil((x - O)/T) = ceil((ceil(x) -
+    # O)/T) for integer O and T, so the demand is evaluated at ceil(x).
+    # Only an integer x can be a fixed point at the first step.
+    integral = num % den == 0
+    cur = -(-num // den)
     terms = tuple(zip(view.periods, view.wcets, offsets))
-    # The start may be rational:
-    # ceil((num/den - O)/T) = ceil((num - O*den)/(T*den)).
-    nxt = wcet
-    for period, task_wcet, offset in terms:
-        nxt += task_wcet * -((offset * den - num) // (period * den))
-    values = [nxt]
-    converged = nxt * den == num
-    while not converged:
-        if len(values) >= MAX_ITERATIONS:
-            raise NonConvergent(f"no fixed point after {len(values)} steps")
-        cur = nxt
+    values = []
+    while True:
         nxt = wcet
         for period, task_wcet, offset in terms:
             nxt += task_wcet * -((offset - cur) // period)
         values.append(nxt)
-        converged = nxt == cur
+        if nxt == cur and (integral or len(values) > 1):
+            break
+        if len(values) >= MAX_ITERATIONS:
+            raise NonConvergent(f"no fixed point after {len(values)} steps")
+        cur = nxt
     trace = (start, *view.unscaled(values))
     return trace[-1], len(values), trace
 
