@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import gcd
 from operator import add, ge
 
 from .model import (OrderedView, TaskSet, _Deferred, _deferred, _ratio,
@@ -65,18 +64,14 @@ def _staged_fixed_point(view: OrderedView, const: int, jitter: int,
     recurrence keeps R + J = (A + J) / (1 - U_later(s)), where the integer
     A is `const` plus C_k*ceil((R+J)/T_k) summed over the stages so far.
     So the loop carries only reach = (A + J)*lcm and free = (1 -
-    U_later(s))*lcm, and builds each stage value from them with one gcd.
+    U_later(s))*lcm, and builds each stage value from them.
     """
     lcm, unums, total = _converging_rates(view)
-    scale = view.scale
     reach = (const + jitter) * lcm
     free = lcm - total
     ceilings = 0
     if stage_values is not None:
-        # R = (reach - J*free)/free in view units, over `scale` in task units.
-        num, den = reach - jitter * free, free * scale
-        g = gcd(num, den)
-        stage_values.append(_reduced(num // g, den // g))
+        stage_values.append(_stage_value(view, jitter, reach, free))
     for period, wcet, unum in zip(view.periods, view.wcets, unums):
         span = period * free
         if early_stop and reach % span == 0:
@@ -87,10 +82,14 @@ def _staged_fixed_point(view: OrderedView, const: int, jitter: int,
         free += unum
         ceilings += 1
         if stage_values is not None:
-            num, den = reach - jitter * free, free * scale
-            g = gcd(num, den)
-            stage_values.append(_reduced(num // g, den // g))
+            stage_values.append(_stage_value(view, jitter, reach, free))
     return reach, free, ceilings
+
+
+def _stage_value(view: OrderedView, jitter: int, reach: int,
+                 free: int) -> Fraction:
+    """R = (reach - J*free)/free in view units, reduced, in task units."""
+    return _ratio(reach - jitter * free, free * view.scale)
 
 
 def _stage_values(view: OrderedView, const: int, jitter: int,
@@ -113,7 +112,7 @@ def _staged_rta(view: OrderedView, const: int, jitter: int, budget,
     """
     reach, free, ceilings = _staged_fixed_point(view, const, jitter,
                                                 early_stop)
-    wcrt = _ratio(reach - jitter * free, free * view.scale)
+    wcrt = _stage_value(view, jitter, reach, free)
     den = wcrt.denominator
     slack = budget * den - wcrt.numerator
     return _deferred(RtaResult, {"wcrt": wcrt, "iterations": ceilings,
@@ -198,7 +197,7 @@ def wcrt_jitter_bounds(ts: TaskSet, target_index: int):
     bounds = []
     for jitter in (min(jitters), max(jitters)):
         reach, free, _ = _staged_fixed_point(view, view.target_wcet, jitter)
-        bounds.append(_ratio(reach - jitter * free, free * view.scale))
+        bounds.append(_stage_value(view, jitter, reach, free))
     return tuple(bounds)
 
 
