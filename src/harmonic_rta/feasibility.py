@@ -258,21 +258,15 @@ def brute_force_last_values(periods, wcets, jitters, last_cap: int):
     for y in range(first, last_cap + 1):
         j_max = jitters[-1] + y * periods[-1]
         witness = []
-        ok = True
         for i in range(k - 1):
             hi = (j_max - jitters[i]) // periods[i]
             lo = max(-((suffix[i] + jitters[i] - j_max) // periods[i]), 0)
-            if i == 0:
-                if not lo <= 1 <= hi:
-                    ok = False
-                    break
-                witness.append(1)
-            else:
-                if lo > hi:
-                    ok = False
-                    break
-                witness.append(lo)
-        if ok:
+            # The first task's count is 1, every other task's its least.
+            m = lo if i else 1
+            if not lo <= m <= hi:
+                break
+            witness.append(m)
+        else:
             witness.append(y)
             values.append(y)
             witnesses.append(tuple(witness))
