@@ -74,8 +74,20 @@ def format_decimal(value) -> str:
     return f"{whole}.{micros:06d}"
 
 
-def _timestamp() -> str:
-    return datetime.now(timezone.utc).isoformat(timespec="seconds")
+def _metadata(deterministic: bool, **items) -> dict:
+    """The report metadata `items`, then a UTC timestamp unless
+    `deterministic`."""
+    if not deterministic:
+        items["timestamp"] = datetime.now(timezone.utc).isoformat(
+            timespec="seconds")
+    return items
+
+
+def _render(metadata: dict, lines: list[str]) -> str:
+    """`# key=value` metadata comment lines, then the report lines."""
+    out = [f"# {key}={value}" for key, value in metadata.items()]
+    out.extend(lines)
+    return "\n".join(out) + "\n"
 
 
 @dataclass(frozen=True)
@@ -101,7 +113,8 @@ class AnalysisReport:
         return all(row.schedulable for row in self.rows)
 
     def to_csv(self) -> str:
-        lines = []
+        lines = ["id,T,C,D,J,method,wcrt_num,wcrt_den,wcrt_decimal,"
+                 "schedulable,steps"]
         for row in self.rows:
             if row.wcrt is None:
                 num = den = dec = ""
@@ -118,8 +131,7 @@ class AnalysisReport:
             lines.append(f"{task.id},{task.period},{task.wcet},"
                          f"{task.deadline},{task.jitter},{row.method},"
                          f"{num},{den},{dec},{sched},{steps}")
-        return _csv(self.metadata, "id,T,C,D,J,method,wcrt_num,wcrt_den,"
-                    "wcrt_decimal,schedulable,steps", lines)
+        return _render(self.metadata, lines)
 
 
 def _analyze_one(ts: TaskSet, index: int, method: str) -> ReportRow:
@@ -151,8 +163,8 @@ def _simulate_rows(ts: TaskSet, targets: list[int],
     for i in targets:
         task = ts[i]
         response = Fraction(trace.first_response(task.id))
-        ok = task.jitter + response <= task.deadline
-        rows.append(ReportRow(task, "simulate", response, ok,
+        rows.append(ReportRow(task, "simulate", response,
+                              task.jitter + response <= task.deadline,
                               len(trace.jobs)))
     return rows
 
@@ -188,17 +200,13 @@ def cmd_analyze(input_path: str, method: str, target: str = "all", *,
     doc = read_task_document(input_path)
     ts = tasks_from_dict(doc, where=input_path)
     targets = _parse_target(ts, target)
-    report = AnalysisReport()
-    report.metadata["input"] = input_path
-    report.metadata["method"] = method
-    report.metadata["target"] = target
+    items = {"input": input_path, "method": method, "target": target}
     # Files written by the generate subcommand carry their seed at the top
     # level; anything else, a boolean too, yields no seed metadata.
     seed = doc.get("seed")
     if type(seed) is int:
-        report.metadata["seed"] = seed
-    if not deterministic:
-        report.metadata["timestamp"] = _timestamp()
+        items["seed"] = seed
+    report = AnalysisReport(metadata=_metadata(deterministic, **items))
     fixed_points = None
     if method == "simulate":
         fixed_points = [wcrt_fixed_point_jitter(ts, i).wcrt
@@ -233,13 +241,12 @@ class CheckJitterReport:
     metadata: dict = field(default_factory=dict)
 
     def to_text(self) -> str:
-        lines = [f"# {key}={value}" for key, value in self.metadata.items()]
         res = self.result
         if res.is_feasible:
             m = ",".join(str(v) for v in res.m)
-            lines.append(f"feasible, m=({m}), J'_max={res.virtual_jitter_max}")
+            lines = [f"feasible, m=({m}), J'_max={res.virtual_jitter_max}"]
         else:
-            lines.append(f"infeasible at stage {res.failure_stage}")
+            lines = [f"infeasible at stage {res.failure_stage}"]
         windows = " -> ".join(f"[{lo}, {hi}]" for lo, hi in res.bound_trace)
         lines.append(f"windows: {windows}")
         for branch in res.branches:
@@ -247,18 +254,15 @@ class CheckJitterReport:
                 f"branch at stage {branch.stage}: m={branch.lower_m} "
                 f"(width diff {branch.diff_lower}) vs m={branch.upper_m} "
                 f"(width diff {branch.diff_upper}) -> {branch.chosen}")
-        return "\n".join(lines) + "\n"
+        return _render(self.metadata, lines)
 
 
 def cmd_check_jitter(input_path: str, *,
                      deterministic: bool = False) -> CheckJitterReport:
     """Feasibility of a task file read as one interfering set."""
     ts = load_tasks(input_path)
-    report = CheckJitterReport(solve_feasibility(ts, None))
-    report.metadata["input"] = input_path
-    if not deterministic:
-        report.metadata["timestamp"] = _timestamp()
-    return report
+    return CheckJitterReport(solve_feasibility(ts, None),
+                             _metadata(deterministic, input=input_path))
 
 
 def _emit(text: str, output: str | None) -> None:
@@ -322,21 +326,6 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
-def _experiment_metadata(args, **extra) -> dict:
-    meta = {"experiment": args.name, "seed": args.seed, "jobs": args.jobs}
-    meta.update(extra)
-    if not args.deterministic:
-        meta["timestamp"] = _timestamp()
-    return meta
-
-
-def _csv(metadata: dict, header: str, lines: list[str]) -> str:
-    out = [f"# {key}={value}" for key, value in metadata.items()]
-    out.append(header)
-    out.extend(lines)
-    return "\n".join(out) + "\n"
-
-
 def cmd_experiment(args) -> int:
     """Run one named experiment for the parsed flags and emit its CSV."""
     if args.name == "oracle-cross-check":
@@ -358,17 +347,18 @@ def cmd_experiment(args) -> int:
         raise CliError("--sim-job-cap must be >= 2")
     if args.jobs < 1:
         raise CliError("--jobs must be >= 1")
+    common = {"experiment": args.name, "seed": args.seed, "jobs": args.jobs}
     if args.name == "heuristic-quality":
         hp_count = args.n if args.n is not None else 14
         sets = args.sets if args.sets is not None else 50000
         grid = (args.utilization,) if args.utilization is not None else None
         rows = heuristic_quality(hp_count=hp_count, sets_per_point=sets,
                                  grid=grid, seed=args.seed, jobs=args.jobs)
-        meta = _experiment_metadata(args, hp_count=hp_count,
-                                    sets_per_point=sets)
+        meta = _metadata(args.deterministic, **common, hp_count=hp_count,
+                         sets_per_point=sets)
         lines = [f"{format_decimal(r.utilization)},{r.sets},"
                  f"{r.misclassified},{r.rate:.6e}" for r in rows]
-        _emit(_csv(meta, "utilization,sets,misclassified,rate", lines),
+        _emit(_render(meta, ["utilization,sets,misclassified,rate", *lines]),
               args.output)
         return EXIT_OK
     if args.name == "feasibility-sweep":
@@ -380,12 +370,13 @@ def cmd_experiment(args) -> int:
                                  total_utilization=utilization,
                                  sets_per_alpha=sets, seed=args.seed,
                                  jobs=args.jobs)
-        meta = _experiment_metadata(args, task_count=task_count,
-                                    utilization=format_decimal(utilization),
-                                    sets_per_alpha=sets)
+        meta = _metadata(args.deterministic, **common, task_count=task_count,
+                         utilization=format_decimal(utilization),
+                         sets_per_alpha=sets)
         lines = [f"{format_decimal(r.alpha)},{r.sets},{r.feasible},"
                  f"{r.fraction:.6e}" for r in rows]
-        _emit(_csv(meta, "alpha,sets,feasible,fraction", lines), args.output)
+        _emit(_render(meta, ["alpha,sets,feasible,fraction", *lines]),
+              args.output)
         return EXIT_OK
     # oracle-cross-check
     max_tasks = args.n if args.n is not None else 12
@@ -399,14 +390,14 @@ def cmd_experiment(args) -> int:
                               sim_job_cap=sim_job_cap,
                               seed=args.seed, jobs=args.jobs)
     disagreements = sum(1 for r in rows if not r.agree)
-    meta = _experiment_metadata(args, sets=sets, max_tasks=max_tasks,
-                                jitter_mode=jitter_mode,
-                                disagreements=disagreements)
+    meta = _metadata(args.deterministic, **common, sets=sets,
+                     max_tasks=max_tasks, jitter_mode=jitter_mode,
+                     disagreements=disagreements)
     lines = [f"{r.set_index},{r.task_count},{r.wcrt.numerator},"
              f"{r.wcrt.denominator},{'+'.join(r.methods)},"
              f"{'true' if r.agree else 'false'}" for r in rows]
-    _emit(_csv(meta, "set_index,task_count,wcrt_num,wcrt_den,methods,agree",
-               lines), args.output)
+    _emit(_render(meta, ["set_index,task_count,wcrt_num,wcrt_den,methods,"
+                         "agree", *lines]), args.output)
     return EXIT_OK if disagreements == 0 else EXIT_UNSCHEDULABLE
 
 
