@@ -133,7 +133,11 @@ class GenConfig:
         if type(self.base_period) is not int:
             raise ValueError(f"base_period must be an int, got "
                              f"{self.base_period!r}")
-        if tuple(map(type, self.factor_range)) != (int, int):
+        try:
+            types = tuple(map(type, self.factor_range))
+        except TypeError:  # not iterable
+            types = ()
+        if types != (int, int):
             raise ValueError(f"factor_range must hold two ints, got "
                              f"{self.factor_range!r}")
         if not 0 < self.total_utilization < 1:

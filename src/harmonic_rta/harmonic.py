@@ -241,8 +241,7 @@ def _shifted_fixed_point(target, view: OrderedView, shifts) -> RtaResult:
     # position (utilization < 1 on dividing periods), so shifted arguments
     # stay above -period and every ceiling term is >= 0: iterates are
     # monotone and converge to the least fixed point from below.
-    return RtaResult.within(target.deadline,
-                            *_iterate(view, shifts, target.wcet))
+    return _iterate(view, shifts, target.wcet, target.deadline)
 
 
 def shared_jitter(ts: TaskSet, target_index: int):

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, neg
 
-from .model import OrderedView, TaskSet, _Deferred, _ratio, ordered_view
+from .model import (OrderedView, TaskSet, _Deferred, _deferred, _ratio,
+                    ordered_view)
 
 MAX_ITERATIONS = 10 ** 6
 
@@ -32,11 +33,11 @@ class DomainError(ValueError):
 class RtaResult(_Deferred):
     """Outcome of one WCRT computation.
 
-    `trace` holds successive iterates for the fixed-point oracles (it then
-    ends with two equal values) or the per-stage values for the staged
-    harmonic methods, which build it on first read.  `margin` is deadline
-    slack: D - J - wcrt for jitter-aware methods, D - wcrt otherwise;
-    `schedulable` is margin >= 0.
+    `trace` holds the start and the successive iterates for the
+    fixed-point oracles (it then ends with two equal values) or the
+    per-stage values for the staged harmonic methods.  Every method builds
+    it on first read.  `margin` is deadline slack: D - J - wcrt for
+    jitter-aware methods, D - wcrt otherwise; `schedulable` is margin >= 0.
     """
 
     wcrt: Fraction | int
@@ -44,12 +45,6 @@ class RtaResult(_Deferred):
     trace: tuple
     schedulable: bool
     margin: Fraction | int
-
-    @classmethod
-    def within(cls, budget, wcrt, iterations: int, trace: tuple) -> RtaResult:
-        """The result whose margin is budget - wcrt (budget D or D - J)."""
-        margin = budget - wcrt
-        return cls(wcrt, iterations, trace, margin >= 0, margin)
 
 
 def _converging_rates(view: OrderedView) -> tuple:
@@ -62,52 +57,88 @@ def _converging_rates(view: OrderedView) -> tuple:
     return lcm, unum, total
 
 
-def _iterate(view: OrderedView, offsets, start) -> tuple:
+def _iterate(view: OrderedView, offsets, start, budget) -> RtaResult:
     """Least fixed point of t = C_n + sum C_i*ceil((t - O_i)/T_i).
 
     `offsets` O_i are subtracted, in view units: zeros for the classic
     recurrence, negated jitters for the jitter-aware one, demand shifts
-    for the shifted models.  Iterates in view units and returns (wcrt,
-    iterations, trace) in task time units; the trace starts at `start`,
-    by default the exact rational weighted start.  A given start above
+    for the shifted models.  Returns the RtaResult, in task time units,
+    whose margin is budget - wcrt (budget D or D - J).  Its trace starts
+    at `start`, by default the exact rational weighted start; it is built
+    on first read by iterating again on the same view, which is
+    read-only.  A given start must be an int or a Fraction; one above
     both C_n and the weighted start raises ValueError.
     """
-    _converging_rates(view)
+    lcm, unum, total = _converging_rates(view)
     scale = view.scale
-    wcet = view.target_wcet
     if start is None:
-        start = _weighted_start(view, offsets)
-        if start.denominator == 1:
-            start = start.numerator
-    elif start * scale > wcet:
-        # Iterates rise to the least fixed point from any start at or below
-        # the weighted one, or at or below C_n, where the demand is >= C_n
-        # when no offset reaches a period (the shifted models start there).
-        # From a higher start they can stop at a larger fixed point.
-        bound = _weighted_start(view, offsets)
-        if start > bound:
-            raise ValueError(f"start {start} is above the weighted lower "
-                             f"bound {bound} of the least fixed point")
-    num, den = start.numerator * scale, start.denominator
+        # The weighted start in view units, as the pair num/den.
+        num = view.target_wcet * lcm - sum(map(mul, unum, offsets))
+        den = lcm - total
+    else:
+        if type(start) is not int and type(start) is not Fraction:
+            raise ValueError(f"start must be an int or a Fraction, "
+                             f"got {start!r}")
+        if start * scale > view.target_wcet:
+            # Iterates rise to the least fixed point from any start at or
+            # below the weighted one, or at or below C_n, where the demand
+            # is >= C_n when no offset reaches a period (the shifted models
+            # start there).  From a higher start they can stop at a larger
+            # fixed point.
+            bound = _weighted_start(view, offsets)
+            if start > bound:
+                raise ValueError(f"start {start} is above the weighted lower "
+                                 f"bound {bound} of the least fixed point")
+        num, den = start.numerator * scale, start.denominator
+    last, steps = _kleene(view, offsets, num, den)
+    wcrt = _ratio(last, scale) if view.rational else last // scale
+    margin = budget - wcrt
+    return _deferred(RtaResult, {"wcrt": wcrt, "iterations": steps,
+                                 "schedulable": margin >= 0,
+                                 "margin": margin},
+                     trace=(_trace, view, offsets, num, den, start))
+
+
+def _kleene(view: OrderedView, offsets, num: int, den: int,
+            iterates=None) -> tuple:
+    """Iterate the demand from the start num/den (view units, den > 0).
+
+    Returns the last iterate and the number of steps.  When `iterates` is
+    a list, each iterate is appended to it.
+    """
+    wcet = view.target_wcet
     # The start x may be rational, but ceil((x - O)/T) = ceil((ceil(x) -
     # O)/T) for integer O and T, so the demand is evaluated at ceil(x).
     # Only an integer x can be a fixed point at the first step.
     integral = num % den == 0
     cur = -(-num // den)
     terms = tuple(zip(view.periods, view.wcets, offsets))
-    values = []
+    steps = 0
     while True:
         nxt = wcet
         for period, task_wcet, offset in terms:
             nxt += task_wcet * -((offset - cur) // period)
-        values.append(nxt)
-        if nxt == cur and (integral or len(values) > 1):
-            break
-        if len(values) >= MAX_ITERATIONS:
-            raise NonConvergent(f"no fixed point after {len(values)} steps")
+        steps += 1
+        if iterates is not None:
+            iterates.append(nxt)
+        if nxt == cur and (integral or steps > 1):
+            return nxt, steps
+        if steps >= MAX_ITERATIONS:
+            raise NonConvergent(f"no fixed point after {steps} steps")
         cur = nxt
-    trace = (start, *view.unscaled(values))
-    return trace[-1], len(values), trace
+
+
+def _trace(view: OrderedView, offsets, num: int, den: int, start) -> tuple:
+    """The trace of one `_iterate` run: its start in task time units (the
+    reduced weighted start, an int when whole, unless one was given), then
+    every iterate."""
+    if start is None:
+        start = _ratio(num, den * view.scale)
+        if start.denominator == 1:
+            start = start.numerator
+    iterates = []
+    _kleene(view, offsets, num, den, iterates)
+    return (start, *view.unscaled(iterates))
 
 
 def _weighted_start(view: OrderedView, offsets) -> Fraction:
@@ -130,8 +161,8 @@ def wcrt_fixed_point(ts: TaskSet, target_index: int, start=None) -> RtaResult:
     bound raises ValueError).  Schedulable iff wcrt <= deadline.
     """
     view = ordered_view(ts, target_index)
-    return RtaResult.within(ts[target_index].deadline,
-                            *_iterate(view, (0,) * len(view.order), start))
+    return _iterate(view, (0,) * len(view.order), start,
+                    ts[target_index].deadline)
 
 
 def wcrt_fixed_point_jitter(ts: TaskSet, target_index: int, start=None) -> RtaResult:
@@ -145,8 +176,8 @@ def wcrt_fixed_point_jitter(ts: TaskSet, target_index: int, start=None) -> RtaRe
     """
     view = ordered_view(ts, target_index)
     target = ts[target_index]
-    return RtaResult.within(target.deadline - target.jitter, *_iterate(
-        view, tuple(map(neg, view.jitters)), start))
+    return _iterate(view, tuple(map(neg, view.jitters)), start,
+                    target.deadline - target.jitter)
 
 
 def nested_ceil(x, z):

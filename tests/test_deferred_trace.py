@@ -2,8 +2,10 @@
 
 The staged methods return the WCRT, margin and ceiling count of one run
 and rebuild the stage values only when `RtaResult.trace` or
-`HarmonicIterationTrace.stage_values` is read.  The reference here builds
-every stage value during the run, as the staged methods once did.  A
+`HarmonicIterationTrace.stage_values` is read.  The fixed points (the
+classic and jitter-aware ones, the exclusion model and the delayed
+demand) rebuild their iterates the same way.  The references here build
+every stage value or iterate during the run, as the methods once did.  A
 simulated `SimTrace` builds its response maxima and idle intervals the
 same way.
 """
@@ -11,26 +13,38 @@ same way.
 import pickle
 import threading
 from dataclasses import FrozenInstanceError
+from fractions import Fraction
 
 import pytest
 
 from harmonic_rta import (
+    GenConfig,
     HarmonicIterationTrace,
     Rng,
     RtaResult,
     SimConfig,
+    cmd_analyze,
+    generate_with_target,
+    oracle_cross_check,
+    pi_order,
     random_analysis_set,
     simulate,
     solve_feasibility,
+    wcrt_exclusion_model,
+    wcrt_fixed_point,
+    wcrt_fixed_point_jitter,
     wcrt_harmonic,
     wcrt_uniform_jitter,
     wcrt_virtual_jitter,
+    wcrt_with_delays,
 )
-from harmonic_rta import harmonic, simulator
-from harmonic_rta.experiments import method_values
+from harmonic_rta import harmonic, rta, simulator
+from harmonic_rta.experiments import EXACT_METHODS, method_values
 from harmonic_rta.feasibility import _feasibility_view
 from harmonic_rta.harmonic import _staged_fixed_point, shared_jitter
 from harmonic_rta.model import ordered_view
+from harmonic_rta.rta import _weighted_start
+from conftest import write_task_file
 
 
 def _eager(view, const, jitter, budget, early_stop=True):
@@ -48,11 +62,65 @@ def _eager(view, const, jitter, budget, early_stop=True):
                 stages if stages <= len(view.periods) else None))
 
 
-def _cases(ts, k):
-    """(method, call, eager reference) for every staged method that
-    applies to target k."""
+def _eager_fixed_point(view, offsets, start, budget):
+    """The RtaResult of t = C_n + sum C_i*ceil((t - O_i)/T_i), offsets in
+    view units, with every iterate built during the run."""
+    if start is None:
+        start = _weighted_start(view, offsets)
+        if start.denominator == 1:
+            start = start.numerator
+    num, den = start.numerator * view.scale, start.denominator
+    cur = -(-num // den)
+    values = []
+    while True:
+        nxt = view.target_wcet + sum(
+            wcet * -((offset - cur) // period)
+            for period, wcet, offset in zip(view.periods, view.wcets, offsets))
+        values.append(nxt)
+        # A start that is not an integer is no fixed point.
+        if nxt == cur and (num % den == 0 or len(values) > 1):
+            break
+        cur = nxt
+    trace = (start, *view.unscaled(values))
+    wcrt = trace[-1]
+    margin = budget - wcrt
+    return RtaResult(wcrt, len(values), trace, margin >= 0, margin), None
+
+
+def _fixed_point_cases(ts, k):
+    """(method, call, eager reference) for every fixed point that applies
+    to target k."""
     target = ts[k]
-    cases = []
+    view = ordered_view(ts, k)
+    zeros = (0,) * len(view.order)
+    start = Fraction(target.wcet, 3)
+    cases = [
+        ("fixed-point", lambda: (wcrt_fixed_point(ts, k), None),
+         _eager_fixed_point(view, zeros, None, target.deadline)),
+        ("fixed-point", lambda: (wcrt_fixed_point(ts, k, start), None),
+         _eager_fixed_point(view, zeros, start, target.deadline)),
+        ("fixed-point-jitter", lambda: (wcrt_fixed_point_jitter(ts, k), None),
+         _eager_fixed_point(view, tuple(-j for j in view.jitters), None,
+                            target.deadline - target.jitter))]
+    if not any(t.jitter for t in ts.tasks[:k + 1]):
+        cases.append((
+            "exclusion", lambda: (wcrt_exclusion_model(ts, k), None),
+            _eager_fixed_point(view, view.suffix_wcet, target.wcet,
+                               target.deadline)))
+        delta = [Fraction(c, 2) for c in pi_order(ts, k).cumulative_wcet]
+        delayed = ordered_view(ts, k, extra=delta)
+        cases.append((
+            "with-delays", lambda: (wcrt_with_delays(ts, k, delta), None),
+            _eager_fixed_point(delayed, [delayed.scaled(d) for d in delta],
+                               target.wcet, target.deadline)))
+    return cases
+
+
+def _cases(ts, k):
+    """(method, call, eager reference) for every staged method and every
+    fixed point that applies to target k."""
+    target = ts[k]
+    cases = _fixed_point_cases(ts, k)
     if not any(t.jitter for t in ts.tasks[:k + 1]):
         view = ordered_view(ts, k)
         for early_stop in (True, False):
@@ -87,6 +155,12 @@ def _sets(table1, walkthrough):
         rng = Rng(seed)
         sets += [random_analysis_set(rng, max_tasks=10, jitter_mode=mode)
                  for _ in range(300)]
+    # Rational wcets, whose fixed points return Fractions.
+    rng = Rng(20260819)
+    sets += [generate_with_target(
+        GenConfig(rng.randint(1, 8), Fraction(rng.randint(5, 90), 100),
+                  factor_range=(1, 3), integer_wcets=False), rng)
+        for _ in range(40)]
     return sets
 
 
@@ -104,7 +178,9 @@ def _same(lazy, eager):
 
 
 def test_deferred_traces_equal_eager_ones(table1, walkthrough):
-    runs = {"harmonic": 0, "uniform": 0, "virtual": 0}
+    runs = dict.fromkeys(("harmonic", "uniform", "virtual", "fixed-point",
+                          "fixed-point-jitter", "exclusion", "with-delays"),
+                         0)
     for ts in _sets(table1, walkthrough):
         for k in range(len(ts)):
             for method, call, eager in _cases(ts, k):
@@ -226,3 +302,51 @@ def test_method_values_builds_no_stage_value(stage_value_runs, table1):
     assert stage_value_runs == []
     wcrt_harmonic(plain, len(plain) - 1)[0].trace
     assert len(stage_value_runs) == 1
+
+
+@pytest.fixture
+def iterate_runs(monkeypatch):
+    """A list that grows by one on every fixed-point run that builds its
+    iterates."""
+    runs = []
+    real = rta._kleene
+
+    def counting(view, offsets, num, den, iterates=None):
+        if iterates is not None:
+            runs.append(view)
+        return real(view, offsets, num, den, iterates)
+
+    monkeypatch.setattr(rta, "_kleene", counting)
+    return runs
+
+
+def test_shipped_paths_build_no_fixed_point_trace(iterate_runs,
+                                                  stage_value_runs, table1,
+                                                  tmp_path):
+    plain = random_analysis_set(Rng(20260817), max_tasks=10)
+    assert set(method_values(plain, len(plain) - 1, False)) == {
+        "harmonic", "fixed-point", "exclusion"}
+    assert set(method_values(table1, 1, True)) == {
+        "fixed-point-jitter", "virtual-jitter", "uniform-jitter"}
+    files = {write_task_file(tmp_path / "plain.json", plain): EXACT_METHODS,
+             write_task_file(tmp_path / "table1.json", table1): (
+                 "fixed-point-jitter", "virtual-jitter", "uniform-jitter")}
+    for path, methods in files.items():
+        for method in (*methods, "simulate"):
+            report = cmd_analyze(path, method, cross_validate=True,
+                                 deterministic=True)
+            assert report.rows
+    for jittered in (False, True):
+        rows = oracle_cross_check(sets=3, max_tasks=6, jittered=jittered,
+                                  seed=1)
+        assert len(rows) == 3 and all(row.agree for row in rows)
+    assert iterate_runs == [] and stage_value_runs == []
+
+
+def test_fixed_point_trace_is_built_once(iterate_runs, table1):
+    result = wcrt_fixed_point_jitter(table1, 5)
+    assert iterate_runs == [] and "trace" not in vars(result)
+    trace = result.trace
+    assert len(iterate_runs) == 1
+    assert result.trace is trace and len(iterate_runs) == 1
+    assert trace[-2:] == (72, 72) and trace[-1] == result.wcrt

@@ -263,7 +263,8 @@ def test_config_validation():
 @pytest.mark.parametrize("field, value", [
     ("task_count", 3.0), ("base_period", 10.0), ("base_period", True),
     ("factor_range", (1, 2.0)), ("factor_range", (Fraction(1), 2)),
-    ("factor_range", (2,)), ("factor_range", (1, 2, 3)), ("factor_range", ())])
+    ("factor_range", (2,)), ("factor_range", (1, 2, 3)), ("factor_range", ()),
+    ("factor_range", 3), ("factor_range", None)])
 def test_config_rejects_non_int_fields(generate, field, value):
     kwargs = {"task_count": 3, "total_utilization": Fraction(1, 2),
               field: value}

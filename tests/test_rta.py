@@ -102,10 +102,19 @@ def test_start_above_the_weighted_lower_bound_is_rejected():
     # 21 the iteration would stop at the larger fixed point 22.
     ts = mk([(10, 3, 0), (20, 4, 0), (40, 5, 0)])
     for fn in (wcrt_fixed_point, wcrt_fixed_point_jitter):
-        for start in (None, 5, 7):
+        for start in (None, 5, 7, Fraction(19, 2)):
             assert fn(ts, 2, start=start).wcrt == 15
         with pytest.raises(ValueError, match="weighted lower bound 10 "):
             fn(ts, 2, start=21)
+
+
+@pytest.mark.parametrize("fn", [wcrt_fixed_point, wcrt_fixed_point_jitter])
+@pytest.mark.parametrize("start", [1.5, 100.0, "3", True])
+def test_start_must_be_an_int_or_a_fraction(fn, start):
+    ts = mk([(10, 3, 0), (20, 4, 0), (40, 5, 0)])
+    with pytest.raises(ValueError, match="^start must be an int or a "
+                                         f"Fraction, got {start!r}$"):
+        fn(ts, 2, start=start)
 
 
 def test_random_sets_match_brute_scan():
