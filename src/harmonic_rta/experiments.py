@@ -100,6 +100,8 @@ def default_alpha_grid() -> tuple[Fraction, ...]:
 
 
 def _chunk_counts(total: int) -> list[int]:
+    if total < 1:
+        raise ValueError(f"set count must be >= 1, got {total}")
     return [min(CHUNK_SIZE, total - start) for start in range(0, total, CHUNK_SIZE)]
 
 

@@ -19,7 +19,7 @@ from operator import add, ge
 
 from .model import (OrderedView, TaskSet, _Deferred, _deferred, _ratio,
                     _reduced, ordered_view)
-from .rta import RtaResult, _converging_rates, _iterate
+from .rta import RtaResult, _converging_rates, _iterate, _require_exact
 
 
 class JitterPresent(ValueError):
@@ -178,6 +178,7 @@ def wcrt_uniform_jitter(ts: TaskSet, target_index: int, jitter,
     t = C_n + sum C_pi*ceil((t + jitter)/T_pi).  The schedulability verdict
     uses the target's own declared jitter (wcrt <= deadline - jitter).
     """
+    _require_exact(jitter, "uniform jitter")
     if jitter < 0:
         raise ValueError(f"uniform jitter must be >= 0, got {jitter}")
     return _staged_result(ts, target_index, jitter, early_stop,
@@ -221,6 +222,8 @@ def wcrt_with_delays(ts: TaskSet, target_index: int, delta) -> RtaResult:
     in [0, cumulative_wcet[k]]; any such shift leaves the least fixed point
     unchanged.  Raises DeltaOutOfRange naming the offending position.
     """
+    for k, d in enumerate(delta):
+        _require_exact(d, f"delta[{k}]")
     view = ordered_view(ts, target_index, extra=delta)
     _reject_jitters(ts, target_index)
     if len(delta) != len(view.order):
@@ -237,10 +240,9 @@ def wcrt_with_delays(ts: TaskSet, target_index: int, delta) -> RtaResult:
 
 def _shifted_fixed_point(target, view: OrderedView, shifts) -> RtaResult:
     view.require_harmonic()
-    # Kleene iteration from C_n.  Each suffix wcet sum is < the period at its
-    # position (utilization < 1 on dividing periods), so shifted arguments
-    # stay above -period and every ceiling term is >= 0: iterates are
-    # monotone and converge to the least fixed point from below.
+    # Start at C_n (see `_iterate`): each shift is at most the suffix wcet
+    # sum, which is < the period at its position (utilization < 1 on
+    # dividing periods), so no shift reaches a period.
     return _iterate(view, shifts, target.wcet, target.deadline)
 
 

@@ -57,39 +57,45 @@ def _converging_rates(view: OrderedView) -> tuple:
     return lcm, unum, total
 
 
+def _require_exact(value, what: str) -> None:
+    """ValueError unless `value` is an int (not a bool) or a Fraction."""
+    if type(value) is not int and type(value) is not Fraction:
+        raise ValueError(f"{what} must be an int or a Fraction, "
+                         f"got {value!r}")
+
+
 def _iterate(view: OrderedView, offsets, start, budget) -> RtaResult:
     """Least fixed point of t = C_n + sum C_i*ceil((t - O_i)/T_i).
 
     `offsets` O_i are subtracted, in view units: zeros for the classic
     recurrence, negated jitters for the jitter-aware one, demand shifts
     for the shifted models.  Returns the RtaResult, in task time units,
-    whose margin is budget - wcrt (budget D or D - J).  Its trace starts
-    at `start`, by default the exact rational weighted start; it is built
-    on first read by iterating again on the same view, which is
-    read-only.  A given start must be an int or a Fraction; one above
-    both C_n and the weighted start raises ValueError.
+    whose margin is budget - wcrt (budget D or D - J).  Its trace, the
+    start and every iterate, is built on first read by iterating again on
+    the same view, which is read-only.
+
+    One start rule: the demand is >= the line C_n + U_hp*t - sum U_i*O_i,
+    and >= C_n when no offset reaches a period, so iterates rise to the
+    least fixed point from any start at or below the weighted start
+    (C_n - sum U_i*O_i)/(1 - U_hp), the default, or at or below C_n.  A
+    given start (an int or a Fraction) above both raises ValueError: from
+    there the iterates can stop at a larger fixed point.
     """
     lcm, unum, total = _converging_rates(view)
     scale = view.scale
-    if start is None:
-        # The weighted start in view units, as the pair num/den.
-        num = view.target_wcet * lcm - sum(map(mul, unum, offsets))
-        den = lcm - total
-    else:
-        if type(start) is not int and type(start) is not Fraction:
-            raise ValueError(f"start must be an int or a Fraction, "
-                             f"got {start!r}")
-        if start * scale > view.target_wcet:
-            # Iterates rise to the least fixed point from any start at or
-            # below the weighted one, or at or below C_n, where the demand
-            # is >= C_n when no offset reaches a period (the shifted models
-            # start there).  From a higher start they can stop at a larger
-            # fixed point.
-            bound = _weighted_start(view, offsets)
-            if start > bound:
-                raise ValueError(f"start {start} is above the weighted lower "
-                                 f"bound {bound} of the least fixed point")
+    if start is not None:
+        _require_exact(start, "start")
         num, den = start.numerator * scale, start.denominator
+    if start is None or num > view.target_wcet * den:
+        # The weighted start in view units, as the pair low/free.
+        low = view.target_wcet * lcm - sum(map(mul, unum, offsets))
+        free = lcm - total
+        if start is None:
+            num, den = low, free
+        elif num * free > low * den:
+            raise ValueError(f"start {start} is above the weighted lower "
+                             f"bound {_ratio(low, free * scale)} of the "
+                             f"least fixed point")
     last, steps = _kleene(view, offsets, num, den)
     wcrt = _ratio(last, scale) if view.rational else last // scale
     margin = budget - wcrt
@@ -139,18 +145,6 @@ def _trace(view: OrderedView, offsets, num: int, den: int, start) -> tuple:
     iterates = []
     _kleene(view, offsets, num, den, iterates)
     return (start, *view.unscaled(iterates))
-
-
-def _weighted_start(view: OrderedView, offsets) -> Fraction:
-    """(C_n - sum U_i*O_i)/(1 - U_hp) in task time units.
-
-    A provable lower bound on the least fixed point: the demand dominates
-    the line C_n + U_hp*t - sum U_i*O_i pointwise, so it is >= t up to
-    there.
-    """
-    lcm, unum, total = view.rates()
-    return _ratio(view.target_wcet * lcm - sum(map(mul, unum, offsets)),
-                  (lcm - total) * view.scale)
 
 
 def wcrt_fixed_point(ts: TaskSet, target_index: int, start=None) -> RtaResult:

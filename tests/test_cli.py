@@ -926,6 +926,20 @@ def test_oracle_cross_check_rejects_cap_below_two_before_drawing(
         experiments.oracle_cross_check(sets=3, sim_job_cap=cap)
 
 
+@pytest.mark.parametrize("count", [0, -5])
+@pytest.mark.parametrize("call", [
+    lambda n: experiments.heuristic_quality(
+        hp_count=3, sets_per_point=n, grid=(Fraction(1, 2),)),
+    lambda n: experiments.feasibility_sweep(sets_per_alpha=n),
+    lambda n: experiments.oracle_cross_check(sets=n),
+], ids=["heuristic-quality", "feasibility-sweep", "oracle-cross-check"])
+def test_experiments_reject_set_counts_below_one(call, count):
+    # Before, these returned rows with sets=0 or -5, or no rows at all.
+    with pytest.raises(ValueError,
+                       match=rf"^set count must be >= 1, got {count}$"):
+        call(count)
+
+
 def test_experiment_oracle_cross_check_jittered(capsys):
     rc, out, _ = run_cli(["experiment", "oracle-cross-check", "--sets", "5",
                           "--n", "5", "--jitter-mode", "constrained",

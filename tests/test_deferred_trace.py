@@ -43,7 +43,6 @@ from harmonic_rta.experiments import EXACT_METHODS, method_values
 from harmonic_rta.feasibility import _feasibility_view
 from harmonic_rta.harmonic import _staged_fixed_point, shared_jitter
 from harmonic_rta.model import ordered_view
-from harmonic_rta.rta import _weighted_start
 from conftest import write_task_file
 
 
@@ -66,7 +65,11 @@ def _eager_fixed_point(view, offsets, start, budget):
     """The RtaResult of t = C_n + sum C_i*ceil((t - O_i)/T_i), offsets in
     view units, with every iterate built during the run."""
     if start is None:
-        start = _weighted_start(view, offsets)
+        # The weighted start (C_n - sum U_i*O_i)/(1 - U_hp), task units.
+        lcm, unum, total = view.rates()
+        start = Fraction(view.target_wcet * lcm - sum(
+            u * offset for u, offset in zip(unum, offsets)),
+            (lcm - total) * view.scale)
         if start.denominator == 1:
             start = start.numerator
     num, den = start.numerator * view.scale, start.denominator

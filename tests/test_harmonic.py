@@ -90,6 +90,20 @@ def test_uniform_jitter_rejects_negative(table1):
         wcrt_uniform_jitter(table1, 2, -1)
 
 
+@pytest.mark.parametrize("value", [1.5, 0.5, "2", True])
+@pytest.mark.parametrize("call, what", [
+    (lambda ts, v: wcrt_uniform_jitter(ts, 1, v), "uniform jitter"),
+    (lambda ts, v: wcrt_with_delays(ts, 1, [v]), r"delta\[0\]"),
+], ids=["uniform-jitter", "delta"])
+def test_time_arguments_must_be_ints_or_fractions(call, what, value):
+    # Floats and strings used to fail inside the view build with
+    # AttributeError or TypeError, and True passed as 1.
+    ts = mk([(10, 2, 0), (20, 3, 0)])
+    with pytest.raises(ValueError, match=f"^{what} must be an int or a "
+                                         f"Fraction, got {value!r}$"):
+        call(ts, value)
+
+
 def test_uniform_jitter_matches_oracle_with_shared_jitter():
     # Setting every higher-priority jitter to the shared J must reproduce the
     # jitter-aware fixed point exactly.

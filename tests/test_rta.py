@@ -98,14 +98,34 @@ def test_fixed_point_and_staged_share_the_overload_message():
 
 
 def test_start_above_the_weighted_lower_bound_is_rejected():
-    # WCRT 15 and weighted lower bound C_n/(1 - U_hp) = 5/(1/2) = 10; from
-    # 21 the iteration would stop at the larger fixed point 22.
-    ts = mk([(10, 3, 0), (20, 4, 0), (40, 5, 0)])
-    for fn in (wcrt_fixed_point, wcrt_fixed_point_jitter):
-        for start in (None, 5, 7, Fraction(19, 2)):
-            assert fn(ts, 2, start=start).wcrt == 15
-        with pytest.raises(ValueError, match="weighted lower bound 10 "):
-            fn(ts, 2, start=21)
+    # Plain: WCRT 15 and weighted lower bound C_n/(1 - U_hp) = 5/(1/2) = 10;
+    # from 21 the iteration would stop at the larger fixed point 22.
+    plain = mk([(10, 3, 0), (20, 4, 0), (40, 5, 0)])
+    # Jittered: the jitter-aware bound (5 + 3/10*2 + 4/20*4)/(1/2) = 64/5
+    # lies above the plain one, 10.
+    jittered = mk([(10, 3, 2), (20, 4, 4), (40, 5, 0)])
+    # A rational wcet (view scale 2): bound 5/(1 - 3/20 - 1/5) = 100/13.
+    rational = mk([(10, Fraction(3, 2), 0), (20, 4, 0), (40, 5, 0)],
+                  relaxed=True)
+    both = (wcrt_fixed_point, wcrt_fixed_point_jitter)
+    cases = [
+        (plain, both, (None, 5, 7, Fraction(19, 2), 10), 15,
+         (21, Fraction(21, 2)), "10"),
+        (jittered, (wcrt_fixed_point_jitter,), (12, Fraction(64, 5)), 15,
+         (13,), "64/5"),
+        (jittered, (wcrt_fixed_point,), (), None, (12, Fraction(64, 5)),
+         "10"),
+        (rational, both, (Fraction(100, 13),), 12, (Fraction(201, 26),),
+         "100/13"),
+    ]
+    for ts, fns, accepted, wcrt, rejected, bound in cases:
+        for fn in fns:
+            for start in accepted:
+                assert fn(ts, 2, start=start).wcrt == wcrt
+            for start in rejected:
+                with pytest.raises(ValueError, match=f"^start {start} is "
+                                   f"above the weighted lower bound {bound} "):
+                    fn(ts, 2, start=start)
 
 
 @pytest.mark.parametrize("fn", [wcrt_fixed_point, wcrt_fixed_point_jitter])
