@@ -107,7 +107,9 @@ def _chunk_counts(total: int) -> list[int]:
 
 def _map_chunks(worker, args_list, jobs: int) -> list:
     # More workers than chunks or CPUs would only add start-up cost.
-    workers = min(jobs, len(args_list), os.cpu_count() or 1)
+    workers = min(jobs, len(args_list))
+    if workers > 1:
+        workers = min(workers, os.cpu_count() or 1)
     if workers <= 1:
         return [worker(*args) for args in args_list]
     # Worker processes, not threads: the chunks are pure-Python computation,
@@ -127,6 +129,8 @@ def _grid_sums(worker, points, sets_per_point: int, fixed: tuple,
     """Per-point sums of worker(seed + g, count, *fixed, point) over the
     point's chunks, g numbering the chunks across the whole grid."""
     counts = _chunk_counts(sets_per_point)
+    if not points:
+        raise ValueError("the grid must hold at least one point")
     args_list = [(seed + g, count, *fixed, point)
                  for g, (point, count) in enumerate(product(points, counts))]
     results = _map_chunks(worker, args_list, jobs)

@@ -186,10 +186,11 @@ def _solve(view: OrderedView, last_jitter) -> FeasibilityResult:
         q_lo = -t_last * ((j_last - jit) // t_last)
         q_hi = t_last * ((jit - j_last + after) // t_last)
         m_val = m_hi
-        new_lb = m_hi * period + q_lo
+        shift = m_hi * period
+        new_lb = shift + q_lo
         if new_lb < lb:
             new_lb = lb
-        new_ub = m_hi * period + q_hi
+        new_ub = shift + q_hi
         if new_ub > ub:
             new_ub = ub
         if m_lo < m_hi:

@@ -44,34 +44,51 @@ class SamplingFailed(RuntimeError):
     """No valid task set was drawn within the generator's attempt budget."""
 
 
-class Rng:
-    """xoshiro256** with splitmix64 seeding; 64-bit pure-integer state."""
+def _xoshiro(seed: int):
+    """The xoshiro256** words of `seed`, seeded through splitmix64.
 
-    __slots__ = ("_s0", "_s1", "_s2", "_s3")
-
-    def __init__(self, seed: int):
-        state = seed & _MASK64
-        s = []
-        for _ in range(4):
-            state = (state + 0x9E3779B97F4A7C15) & _MASK64
-            z = state
-            z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-            z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-            s.append(z ^ (z >> 31))
-        self._s0, self._s1, self._s2, self._s3 = s
-
-    def next_u64(self) -> int:
-        # rotl(x, k) is ((x << k) | (x >> (64 - k))) & _MASK64; the result's
+    The state lives in this generator's locals: a step loads and stores no
+    attribute.
+    """
+    state = seed & _MASK64
+    s = []
+    for _ in range(4):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        s.append(z ^ (z >> 31))
+    s0, s1, s2, s3 = s
+    mask = _MASK64
+    while True:
+        # rotl(x, k) is ((x << k) | (x >> (64 - k))) & mask; the result's
         # mask is applied once, after the multiplication.
-        s0, s1, s2, s3 = self._s0, self._s1, self._s2, self._s3
-        x = (s1 * 5) & _MASK64
+        x = (s1 * 5) & mask
+        t = s1 << 17
         s2 ^= s0
         s3 ^= s1
-        self._s0 = s0 ^ s3
-        self._s1 = s1 ^ s2
-        self._s2 = (s2 ^ (s1 << 17)) & _MASK64
-        self._s3 = ((s3 << 45) | (s3 >> 19)) & _MASK64
-        return (((x << 7) | (x >> 57)) * 9) & _MASK64
+        s1 ^= s2
+        s0 ^= s3
+        s2 = (s2 ^ t) & mask
+        s3 = ((s3 << 45) | (s3 >> 19)) & mask
+        yield (((x << 7) | (x >> 57)) * 9) & mask
+
+
+class Rng:
+    """xoshiro256** with splitmix64 seeding; 64-bit pure-integer state.
+
+    `next_u64()` returns the next 64-bit word.  An Rng cannot be copied or
+    pickled: its state lives in a generator frame.
+    """
+
+    __slots__ = ("next_u64",)
+
+    def __init__(self, seed: int):
+        self.next_u64 = _xoshiro(seed).__next__
+
+    def __reduce__(self):
+        raise TypeError("an Rng cannot be copied or pickled; seed a new Rng "
+                        "to repeat a stream")
 
     def randint(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], rejection-sampled (no modulo bias).
@@ -87,13 +104,14 @@ class Rng:
         while total < span:
             total <<= 64
         limit = total - total % span
+        next_u64 = self.next_u64
         while True:
             # Counting the k - 1 further words with `range` cost shift-sweep
             # 9% of its ops/s on a 2-CPU Xeon; this loop costs one comparison
             # per one-word candidate.
-            u, reach = self.next_u64(), 1 << 64
+            u, reach = next_u64(), 1 << 64
             while reach < total:
-                u = (u << 64) | self.next_u64()
+                u = (u << 64) | next_u64()
                 reach <<= 64
             if u < limit:
                 return lo + u % span
@@ -140,7 +158,9 @@ class GenConfig:
         if types != (int, int):
             raise ValueError(f"factor_range must hold two ints, got "
                              f"{self.factor_range!r}")
-        if not 0 < self.total_utilization < 1:
+        # On numerator and denominator: each Fraction comparison is a call.
+        utilization, alpha = self.total_utilization, self.alpha
+        if not 0 < utilization.numerator < utilization.denominator:
             raise ValueError("total utilization must be in (0, 1)")
         if self.task_count < 1:
             raise ValueError("need at least one task")
@@ -151,7 +171,7 @@ class GenConfig:
         if self.jitter_mode not in (JITTER_NONE, JITTER_UNCONSTRAINED,
                                     JITTER_CONSTRAINED):
             raise ValueError(f"unknown jitter mode {self.jitter_mode!r}")
-        if not 0 < self.alpha <= 1:
+        if not 0 < alpha.numerator <= alpha.denominator:
             raise ValueError("alpha must be in (0, 1]")
 
 
@@ -174,10 +194,11 @@ def uunifast(n: int, total_utilization, rng: Rng) -> list[Fraction]:
 
 def _uunifast_numerators(n: int, total: Fraction, rng: Rng) -> list[int]:
     """uunifast's shares as integer numerators over denominator(total)*2^53."""
+    uniform53 = rng.uniform53
     remainder = total.numerator * _TWO53
     out = []
     for slots in range(n - 1, 0, -1):
-        u = rng.uniform53() * _ULP53
+        u = uniform53() * _ULP53
         x_num = round((u ** (1.0 / slots)) * _TWO53)
         # Clamps as ifs: min and max calls cost more than the arithmetic.
         if x_num < 1:
@@ -198,9 +219,12 @@ def _uunifast_numerators(n: int, total: Fraction, rng: Rng) -> list[int]:
 def gen_harmonic_periods(n: int, config: GenConfig, rng: Rng) -> list[int]:
     """Non-decreasing harmonic chain T_1 = base, T_{k+1} = T_k * factor."""
     lo, hi = config.factor_range
-    periods = [config.base_period]
+    randint = rng.randint
+    period = config.base_period
+    periods = [period]
     for _ in range(n - 1):
-        periods.append(periods[-1] * rng.randint(lo, hi))
+        period *= randint(lo, hi)
+        periods.append(period)
     return periods
 
 
@@ -223,17 +247,17 @@ def _constrained_jitters(periods, wcet_nums, denom: int, rng: Rng
     k = len(periods)
     if k == 0:
         return []
-    j_first = rng.randint(0, periods[0] - 1)
+    randint = rng.randint
+    j_first = randint(0, periods[0] - 1)
     if k == 1:
         return [j_first]
     suffix = _suffix_sums(wcet_nums)
     shifted_first = periods[0] + j_first
-    shifted_last = rng.randint(shifted_first,
-                               shifted_first + suffix[0] // denom)
+    shifted_last = randint(shifted_first, shifted_first + suffix[0] // denom)
     shifted = [shifted_first]
     for s in range(1, k - 1):
         lo = shifted_last - suffix[s] // denom
-        shifted.append(rng.randint(lo, shifted_last))
+        shifted.append(randint(lo, shifted_last))
     shifted.append(shifted_last)
     return [sj % t for sj, t in zip(shifted, periods)]
 
@@ -273,7 +297,8 @@ def _raw_jitter_numerators(periods, factor: int, rng: Rng) -> list[int]:
     With factor = numerator(alpha) * k, each value is the jitter in units
     of 1 / (denominator(alpha) * 2^53 * k).
     """
-    return [rng.uniform53() * factor * t for t in periods]
+    uniform53 = rng.uniform53
+    return [uniform53() * factor * t for t in periods]
 
 
 def _integer_wcets(periods, wcet_nums, denom: int) -> list[int]:

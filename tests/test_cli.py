@@ -940,6 +940,18 @@ def test_experiments_reject_set_counts_below_one(call, count):
         call(count)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: experiments.heuristic_quality(hp_count=3, sets_per_point=2,
+                                          grid=()),
+    lambda: experiments.feasibility_sweep(sets_per_alpha=2, alphas=()),
+], ids=["heuristic-quality", "feasibility-sweep"])
+def test_experiments_reject_an_empty_grid(call):
+    # Before, these returned no rows without a word.
+    with pytest.raises(ValueError,
+                       match="^the grid must hold at least one point$"):
+        call()
+
+
 def test_experiment_oracle_cross_check_jittered(capsys):
     rc, out, _ = run_cli(["experiment", "oracle-cross-check", "--sets", "5",
                           "--n", "5", "--jitter-mode", "constrained",

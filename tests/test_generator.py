@@ -1,5 +1,8 @@
 """Workload generation: frozen RNG vectors, exact-sum sampling, feasibility."""
 
+import copy
+import hashlib
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 
@@ -33,9 +36,39 @@ def test_rng_golden_vectors():
         12741567751740247437, 13413056594587381104]
 
 
+def _digest(words) -> str:
+    return hashlib.sha256(",".join(map(str, words)).encode()).hexdigest()[:16]
+
+
+@pytest.mark.parametrize("seed, digest", [
+    (0, "0c1cab94a90ec597"), (1, "9986da9e50344607"),
+    (-1, "e515b9a8d14a69a3"), (2**64 + 5, "ed52bdf6d8425a3d")])
+def test_rng_stream_digest(seed, digest):
+    r = Rng(seed)
+    assert _digest([r.next_u64() for _ in range(100_000)]) == digest
+
+
+def test_rng_mixed_draws_digest():
+    r = Rng(7)
+    words = []
+    for k in range(20_000):
+        words += [r.randint(1, 4), r.uniform53(), r.randint(0, 2**70 + k)]
+    assert _digest(words) == "1d523b1ea80c81fc"
+
+
+@pytest.mark.parametrize("clone", [copy.copy, copy.deepcopy, pickle.dumps])
+def test_rng_refuses_copy_and_pickle(clone):
+    with pytest.raises(TypeError, match="seed a new Rng"):
+        clone(Rng(3))
+
+
 def test_rng_determinism_and_randint_bounds():
-    a, b = Rng(9), Rng(9)
-    assert [a.next_u64() for _ in range(8)] == [b.next_u64() for _ in range(8)]
+    # Two streams drawn interleaved share no state: each equals a lone run.
+    a, b, alone = Rng(9), Rng(9), Rng(9)
+    interleaved = [(a.next_u64(), b.next_u64()) for _ in range(50)]
+    words = [alone.next_u64() for _ in range(50)]
+    assert [x for x, _ in interleaved] == words
+    assert [y for _, y in interleaved] == words
     r = Rng(3)
     draws = [r.randint(5, 7) for _ in range(200)]
     assert set(draws) <= {5, 6, 7}
@@ -240,22 +273,28 @@ def test_raw_sets_keep_exact_utilization():
 
 
 def test_config_validation():
+    half = Fraction(1, 2)
     with pytest.raises(ValueError):
-        GenConfig(task_count=0, total_utilization=Fraction(1, 2))
+        GenConfig(task_count=0, total_utilization=half)
+    for utilization in (Fraction(0), -half, Fraction(1)):
+        with pytest.raises(ValueError,
+                           match=r"^total utilization must be in \(0, 1\)$"):
+            GenConfig(task_count=2, total_utilization=utilization)
     with pytest.raises(ValueError):
-        GenConfig(task_count=2, total_utilization=Fraction(1))
+        GenConfig(task_count=2, total_utilization=half, factor_range=(0, 2))
     with pytest.raises(ValueError):
-        GenConfig(task_count=2, total_utilization=Fraction(1, 2),
-                  factor_range=(0, 2))
-    with pytest.raises(ValueError):
-        GenConfig(task_count=2, total_utilization=Fraction(1, 2),
+        GenConfig(task_count=2, total_utilization=half,
                   jitter_mode="sometimes")
+    for alpha in (Fraction(2), Fraction(0), Fraction(-1)):
+        with pytest.raises(ValueError, match=r"^alpha must be in \(0, 1\]$"):
+            GenConfig(task_count=2, total_utilization=half, alpha=alpha)
     with pytest.raises(ValueError):
-        GenConfig(task_count=2, total_utilization=Fraction(1, 2),
-                  alpha=Fraction(2))
-    with pytest.raises(ValueError):
-        GenConfig(task_count=2, total_utilization=Fraction(1, 2),
-                  base_period=0)
+        GenConfig(task_count=2, total_utilization=half, base_period=0)
+    # The accepted edges; a float utilization is converted exactly.
+    assert GenConfig(task_count=2, total_utilization=half,
+                     alpha=Fraction(1)).alpha == 1
+    assert GenConfig(task_count=2,
+                     total_utilization=0.5).total_utilization == half
 
 
 @pytest.mark.parametrize("generate", [generate_interference_set,
