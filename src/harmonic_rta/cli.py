@@ -348,6 +348,7 @@ def cmd_experiment(args) -> int:
     if args.jobs < 1:
         raise CliError("--jobs must be >= 1")
     common = {"experiment": args.name, "seed": args.seed, "jobs": args.jobs}
+    disagreements = 0
     if args.name == "heuristic-quality":
         hp_count = args.n if args.n is not None else 14
         sets = args.sets if args.sets is not None else 50000
@@ -356,12 +357,10 @@ def cmd_experiment(args) -> int:
                                  grid=grid, seed=args.seed, jobs=args.jobs)
         meta = _metadata(args.deterministic, **common, hp_count=hp_count,
                          sets_per_point=sets)
-        lines = [f"{format_decimal(r.utilization)},{r.sets},"
-                 f"{r.misclassified},{r.rate:.6e}" for r in rows]
-        _emit(_render(meta, ["utilization,sets,misclassified,rate", *lines]),
-              args.output)
-        return EXIT_OK
-    if args.name == "feasibility-sweep":
+        lines = ["utilization,sets,misclassified,rate"]
+        lines += [f"{format_decimal(r.utilization)},{r.sets},"
+                  f"{r.misclassified},{r.rate:.6e}" for r in rows]
+    elif args.name == "feasibility-sweep":
         task_count = args.n if args.n is not None else 5
         sets = args.sets if args.sets is not None else 100000
         utilization = (args.utilization if args.utilization is not None
@@ -373,31 +372,29 @@ def cmd_experiment(args) -> int:
         meta = _metadata(args.deterministic, **common, task_count=task_count,
                          utilization=format_decimal(utilization),
                          sets_per_alpha=sets)
-        lines = [f"{format_decimal(r.alpha)},{r.sets},{r.feasible},"
-                 f"{r.fraction:.6e}" for r in rows]
-        _emit(_render(meta, ["alpha,sets,feasible,fraction", *lines]),
-              args.output)
-        return EXIT_OK
-    # oracle-cross-check
-    max_tasks = args.n if args.n is not None else 12
-    sets = args.sets if args.sets is not None else 1000
-    jitter_mode = args.jitter_mode or "none"
-    sim_job_cap = (args.sim_job_cap if args.sim_job_cap is not None
-                   else DEFAULT_SIM_JOB_CAP)
-    rows = oracle_cross_check(sets=sets, max_tasks=max_tasks,
-                              jittered=jitter_mode == "constrained",
-                              with_simulation=not args.no_simulation,
-                              sim_job_cap=sim_job_cap,
-                              seed=args.seed, jobs=args.jobs)
-    disagreements = sum(1 for r in rows if not r.agree)
-    meta = _metadata(args.deterministic, **common, sets=sets,
-                     max_tasks=max_tasks, jitter_mode=jitter_mode,
-                     disagreements=disagreements)
-    lines = [f"{r.set_index},{r.task_count},{r.wcrt.numerator},"
-             f"{r.wcrt.denominator},{'+'.join(r.methods)},"
-             f"{'true' if r.agree else 'false'}" for r in rows]
-    _emit(_render(meta, ["set_index,task_count,wcrt_num,wcrt_den,methods,"
-                         "agree", *lines]), args.output)
+        lines = ["alpha,sets,feasible,fraction"]
+        lines += [f"{format_decimal(r.alpha)},{r.sets},{r.feasible},"
+                  f"{r.fraction:.6e}" for r in rows]
+    else:  # oracle-cross-check
+        max_tasks = args.n if args.n is not None else 12
+        sets = args.sets if args.sets is not None else 1000
+        jitter_mode = args.jitter_mode or "none"
+        sim_job_cap = (args.sim_job_cap if args.sim_job_cap is not None
+                       else DEFAULT_SIM_JOB_CAP)
+        rows = oracle_cross_check(sets=sets, max_tasks=max_tasks,
+                                  jittered=jitter_mode == "constrained",
+                                  with_simulation=not args.no_simulation,
+                                  sim_job_cap=sim_job_cap,
+                                  seed=args.seed, jobs=args.jobs)
+        disagreements = sum(1 for r in rows if not r.agree)
+        meta = _metadata(args.deterministic, **common, sets=sets,
+                         max_tasks=max_tasks, jitter_mode=jitter_mode,
+                         disagreements=disagreements)
+        lines = ["set_index,task_count,wcrt_num,wcrt_den,methods,agree"]
+        lines += [f"{r.set_index},{r.task_count},{r.wcrt.numerator},"
+                  f"{r.wcrt.denominator},{'+'.join(r.methods)},"
+                  f"{'true' if r.agree else 'false'}" for r in rows]
+    _emit(_render(meta, lines), args.output)
     return EXIT_OK if disagreements == 0 else EXIT_UNSCHEDULABLE
 
 
@@ -419,8 +416,8 @@ def _parsers() -> tuple[argparse.ArgumentParser,
                         dict[str, argparse.ArgumentParser]]:
     """The command-line parser and each subcommand's parser by name.
 
-    They are built on the first call in a process.  Parsing leaves them
-    unchanged, so every later `main` reuses them.
+    Each subcommand sets `run`, its handler.  Built on the first call in a
+    process; parsing leaves them unchanged, so every later `main` reuses them.
     """
     parser = argparse.ArgumentParser(
         prog="harmonic-rta",
@@ -440,6 +437,7 @@ def _parsers() -> tuple[argparse.ArgumentParser,
                          help="fail unless every applicable method agrees")
     analyze.add_argument("--deterministic", action="store_true",
                          help="suppress the timestamp metadata line")
+    analyze.set_defaults(run=_run_analyze)
 
     check = sub.add_parser(
         "check-jitter",
@@ -447,6 +445,7 @@ def _parsers() -> tuple[argparse.ArgumentParser,
     check.add_argument("--input", required=True)
     check.add_argument("--output")
     check.add_argument("--deterministic", action="store_true")
+    check.set_defaults(run=_run_check_jitter)
 
     gen = sub.add_parser("generate", help="emit pseudo-random task-set files")
     gen.add_argument("--n", type=int, required=True, help="task count")
@@ -466,6 +465,7 @@ def _parsers() -> tuple[argparse.ArgumentParser,
                      help="last task is a lowest-priority analysis target")
     gen.add_argument("--output",
                      help="output file (or filename prefix with --count > 1)")
+    gen.set_defaults(run=cmd_generate)
 
     exp = sub.add_parser("experiment", help="run a statistical experiment")
     exp.add_argument("name", choices=EXPERIMENTS)
@@ -489,6 +489,7 @@ def _parsers() -> tuple[argparse.ArgumentParser,
     exp.add_argument("--jobs", type=int, default=1)
     exp.add_argument("--output")
     exp.add_argument("--deterministic", action="store_true")
+    exp.set_defaults(run=cmd_experiment)
 
     return parser, {"analyze": analyze, "check-jitter": check,
                     "generate": gen, "experiment": exp}
@@ -508,14 +509,8 @@ def main(argv: list[str] | None = None) -> int:
         if extra:
             parser.error(gettext.gettext("unrecognized arguments: %s")
                          % " ".join(extra))
-    handlers = {
-        "analyze": _run_analyze,
-        "check-jitter": _run_check_jitter,
-        "generate": cmd_generate,
-        "experiment": cmd_experiment,
-    }
     try:
-        return handlers[args.command](args)
+        return args.run(args)
     except (CliError, ValueError, ArithmeticError, OSError, SamplingFailed,
             HorizonTooShort) as exc:
         print(f"error: {exc}", file=sys.stderr)

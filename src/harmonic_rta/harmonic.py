@@ -124,15 +124,14 @@ def _staged_rta(view: OrderedView, const: int, jitter: int, budget,
 def _staged_result(ts: TaskSet, target_index: int, jitter,
                    early_stop: bool, jitter_aware: bool):
     """(RtaResult, HarmonicIterationTrace) at one uniform jitter.  A method
-    that is not jitter-aware rejects jitters up to the target."""
+    that is not jitter-aware rejects jitters up to the target: D - J = D."""
     view = ordered_view(ts, target_index, extra=(jitter,))
     if not jitter_aware:
         _reject_jitters(ts, target_index)
     view.require_harmonic()
     target = ts[target_index]
-    budget = target.deadline - (target.jitter if jitter_aware else 0)
-    result = _staged_rta(view, view.target_wcet, view.scaled(jitter), budget,
-                         early_stop)
+    result = _staged_rta(view, view.target_wcet, view.scaled(jitter),
+                         target.deadline - target.jitter, early_stop)
     # A run that stopped early computed fewer stages than the view has
     # tasks; the stage it skipped is the one after the last computed.
     ceilings = result.iterations
@@ -212,7 +211,9 @@ def wcrt_exclusion_model(ts: TaskSet, target_index: int) -> RtaResult:
     """
     view = ordered_view(ts, target_index)
     _reject_jitters(ts, target_index)
-    return _shifted_fixed_point(ts[target_index], view, view.suffix_wcet)
+    view.require_harmonic()
+    target = ts[target_index]
+    return _iterate(view, view.suffix_wcet, target.wcet, target.deadline)
 
 
 def wcrt_with_delays(ts: TaskSet, target_index: int, delta) -> RtaResult:
@@ -235,14 +236,8 @@ def wcrt_with_delays(ts: TaskSet, target_index: int, delta) -> RtaResult:
         if not 0 <= shift <= limit:
             raise DeltaOutOfRange(
                 f"delta[{k}]={d} outside [0, {Fraction(limit, view.scale)}]")
-    return _shifted_fixed_point(ts[target_index], view, shifts)
-
-
-def _shifted_fixed_point(target, view: OrderedView, shifts) -> RtaResult:
     view.require_harmonic()
-    # Start at C_n (see `_iterate`): each shift is at most the suffix wcet
-    # sum, which is < the period at its position (utilization < 1 on
-    # dividing periods), so no shift reaches a period.
+    target = ts[target_index]
     return _iterate(view, shifts, target.wcet, target.deadline)
 
 

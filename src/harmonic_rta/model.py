@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from itertools import accumulate
@@ -443,6 +444,11 @@ def read_task_document(path: str):
             f"{path}: JSON nested too deeply to read") from exc
 
 
+# An id that would start its CSV row with '#' (a metadata line) or split
+# the row, or that UTF-8 output cannot hold.
+_BAD_ID = re.compile(r'^#|[,"\r\n\ud800-\udfff]')
+
+
 def tasks_from_dict(doc, where: str) -> TaskSet:
     """Build a strict TaskSet from a parsed task-file document."""
     if not isinstance(doc, dict) or "tasks" not in doc:
@@ -463,6 +469,10 @@ def tasks_from_dict(doc, where: str) -> TaskSet:
         if not isinstance(task_id, str):
             raise TaskModelError(f"{where}: tasks[{pos}] id must be a string, "
                                  f"got {json.dumps(task_id)}")
+        if _BAD_ID.search(task_id):
+            raise TaskModelError(
+                f"{where}: tasks[{pos}] id {json.dumps(task_id)} starts with "
+                f"'#' or holds a comma, quote, line break or lone surrogate")
         try:
             tasks.append(Task(
                 period=entry["period"],

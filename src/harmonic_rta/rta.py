@@ -79,7 +79,10 @@ def _iterate(view: OrderedView, offsets, start, budget) -> RtaResult:
     least fixed point from any start at or below the weighted start
     (C_n - sum U_i*O_i)/(1 - U_hp), the default, or at or below C_n.  A
     given start (an int or a Fraction) above both raises ValueError: from
-    there the iterates can stop at a larger fixed point.
+    there the iterates can stop at a larger fixed point.  The shifted
+    models start at C_n: each of their shifts is at most the suffix wcet
+    sum, which is below the period at its position (utilization < 1 on
+    dividing periods), so no shift reaches a period.
     """
     lcm, unum, total = _converging_rates(view)
     scale = view.scale

@@ -91,9 +91,6 @@ class JobRecords(Sequence):
     def __getitem__(self, index):
         return self._records[index]
 
-    def __iter__(self):
-        return iter(self._records)
-
     def __eq__(self, other) -> bool:
         if isinstance(other, JobRecords):
             other = other._records

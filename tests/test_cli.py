@@ -19,6 +19,7 @@ import pytest
 import harmonic_rta
 import harmonic_rta.cli as cli
 import harmonic_rta.experiments as experiments
+import harmonic_rta.rta as rta
 from harmonic_rta import (
     CliError,
     HorizonTooShort,
@@ -241,6 +242,16 @@ def test_analyze_error_exits(table1_file, tmp_path, capsys):
     rc, _, err = run_cli(["analyze", "--input", str(bad), "--method",
                           "harmonic"], capsys)
     assert rc == 2 and err.startswith("error:")
+
+
+def test_iteration_cap_exits_two_with_one_line(tmp_path, capsys,
+                                              monkeypatch):
+    # The second task's fixed point takes 2 steps, the third's 3.
+    path = write_task_file(tmp_path / "three.json",
+                           mk([(8, 2, 0), (4, 2, 0), (8, 1, 0)]))
+    monkeypatch.setattr(rta, "MAX_ITERATIONS", 1)
+    assert run_cli(["analyze", "--input", path, "--method", "fixed-point"],
+                   capsys) == (2, "", "error: no fixed point after 1 steps\n")
 
 
 def test_jitter_free_methods_name_the_jittered_task(tmp_path, capsys):
@@ -623,6 +634,43 @@ def test_non_string_task_ids_exit_two_with_one_line(tmp_path, capsys,
         assert run_cli(argv, capsys) == (2, "", message)
 
 
+@pytest.mark.parametrize("task_id", [
+    "a,b\nc", "#x", "\ud800", 'say "hi"', "a\rb"],
+    ids=["comma-newline", "hash", "surrogate", "quote", "return"])
+def test_ids_that_would_corrupt_the_csv_exit_two(tmp_path, capsys, task_id):
+    # A comma or line break split the row, a leading '#' read it as
+    # metadata, and a lone surrogate failed only after --output was
+    # truncated.
+    path = tmp_path / "ids.json"
+    path.write_text(json.dumps({"tasks": [
+        {"id": "a", "period": 10, "wcet": 3, "deadline": 10, "priority": 1},
+        {"id": task_id, "period": 20, "wcet": 5, "deadline": 20,
+         "priority": 2},
+    ]}))
+    dest = tmp_path / "out.csv"
+    message = (f"error: {path}: tasks[1] id {json.dumps(task_id)} starts "
+               f"with '#' or holds a comma, quote, line break or lone "
+               f"surrogate\n")
+    for argv in (["analyze", "--input", str(path), "--method", "harmonic"],
+                 ["check-jitter", "--input", str(path)]):
+        assert run_cli([*argv, "--output", str(dest)],
+                       capsys) == (2, "", message)
+        assert not dest.exists()
+
+
+def test_ids_with_spaces_and_accents_still_load(tmp_path, capsys):
+    path = tmp_path / "ids.json"
+    path.write_text(json.dumps({"tasks": [
+        {"id": "a b", "period": 10, "wcet": 3, "deadline": 10, "priority": 1},
+        {"id": "\u00e9", "period": 20, "wcet": 5, "deadline": 20,
+         "priority": 2},
+    ]}))
+    rc, out, _ = run_cli(["analyze", "--input", str(path), "--method",
+                          "harmonic"], capsys)
+    assert rc == 0
+    assert [row["id"] for row in csv_rows(out)] == ["a b", "\u00e9"]
+
+
 def test_non_utf8_file_exits_two_naming_the_file(tmp_path, capsys):
     path = tmp_path / "latin1.json"
     path.write_bytes('{"tasks": [{"id": "\u00e9", "period": 10, "wcet": 1, '
@@ -731,7 +779,8 @@ DISPATCH_ARGVS = {
 
 @pytest.mark.parametrize("case", DISPATCH_ARGVS)
 def test_direct_dispatch_matches_the_full_parser(case, walkthrough_file,
-                                                 capsys, monkeypatch):
+                                                 capsys, monkeypatch,
+                                                 request):
     argv = [arg.replace("{f}", walkthrough_file)
             for arg in DISPATCH_ARGVS[case]]
     parsed = []
@@ -740,6 +789,11 @@ def test_direct_dispatch_matches_the_full_parser(case, walkthrough_file,
         handler = getattr(cli, name)
         monkeypatch.setattr(cli, name, lambda args, handler=handler: (
             parsed.append(args), handler(args))[1])
+    # The parsers hold their handlers: rebuild them with the wrapped ones
+    # now, and with the real ones after the test.
+    parsers = cli._parsers
+    parsers.cache_clear()
+    request.addfinalizer(parsers.cache_clear)
     direct = _outcome(argv, capsys), parsed[:]
     # With no subcommand parser to dispatch to, every argv takes the
     # full parser's route.

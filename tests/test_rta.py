@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import harmonic_rta.rta as rta
 from harmonic_rta import (
     DomainError,
     NonConvergent,
@@ -82,6 +83,16 @@ def test_non_convergent_on_saturated_hp():
         wcrt_fixed_point(ts, 2)
     with pytest.raises(NonConvergent):
         wcrt_fixed_point_jitter(ts, 2)
+
+
+def test_iteration_cap_raises_non_convergent(monkeypatch):
+    # The fixed point 7 takes 3 steps from the weighted start 4.
+    ts = mk([(8, 2, 0), (4, 2, 0), (8, 1, 0)])
+    assert wcrt_fixed_point(ts, 2).iterations == 3
+    monkeypatch.setattr(rta, "MAX_ITERATIONS", 1)
+    with pytest.raises(NonConvergent) as info:
+        wcrt_fixed_point(ts, 2)
+    assert str(info.value) == "no fixed point after 1 steps"
 
 
 def test_fixed_point_and_staged_share_the_overload_message():
