@@ -269,6 +269,7 @@ def _emit(text: str, output: str | None) -> None:
     if output is None:
         sys.stdout.write(text)
     else:
+        text.encode("utf-8")  # may fail: before the file is emptied
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
 

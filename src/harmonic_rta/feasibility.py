@@ -238,17 +238,21 @@ def _solve(view: OrderedView, last_jitter) -> FeasibilityResult:
                              tuple(trace), tuple(branches))
 
 
-def brute_force_last_values(periods, wcets, jitters, last_cap: int):
+def brute_force_last_values(periods, wcets, jitters, last_cap=None):
     """All m_last in [0, last_cap] for which the full system has a witness.
 
     Every m_i is constrained only against m_last, so for each candidate the
-    per-task intervals are checked independently (m_1 must admit 1).
+    per-task intervals are checked independently (m_1 must admit 1).  The
+    default `last_cap` is the whole box of `brute_force_feasibility`.
     Returns (values, witnesses) in ascending order.  Raises ValueError on
     arrays of different lengths, no task, or a jitter outside [0, period).
     """
     view = _array_view(periods, wcets, jitters)
     periods, jitters, suffix = view.periods, view.jitters, view.suffix_wcet
     k = len(periods)
+    if last_cap is None:
+        last_cap = ((jitters[0] + periods[0] + suffix[0] - jitters[-1])
+                    // periods[-1])
     values, witnesses = [], []
     # m_1 = 1 needs J_last + m_last*T_last >= J_1 + T_1, so every smaller
     # m_last fails at the first task.  One task is both first and last, so
@@ -288,10 +292,7 @@ def brute_force_feasibility(ts: TaskSet, target_index: int | None = None
     """
     view = _feasibility_view(ts, target_index)
     periods, jitters, scale = view.periods, view.jitters, view.scale
-    last_cap = ((jitters[0] + periods[0] + view.suffix_wcet[0] - jitters[-1])
-                // periods[-1])
-    values, witnesses = brute_force_last_values(periods, view.wcets, jitters,
-                                                last_cap)
+    values, witnesses = brute_force_last_values(periods, view.wcets, jitters)
     if not values:
         return FeasibilityResult(INFEASIBLE, None, None, None, ())
     window = values[0] * periods[-1] // scale

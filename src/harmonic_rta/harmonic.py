@@ -19,7 +19,7 @@ from operator import add, ge
 
 from .model import (OrderedView, TaskSet, _Deferred, _deferred, _ratio,
                     _reduced, ordered_view)
-from .rta import RtaResult, _converging_rates, _iterate, _require_exact
+from .rta import RtaResult, _iterate, _require_exact
 
 
 class JitterPresent(ValueError):
@@ -66,7 +66,7 @@ def _staged_fixed_point(view: OrderedView, const: int, jitter: int,
     So the loop carries only reach = (A + J)*lcm and free = (1 -
     U_later(s))*lcm, and builds each stage value from them.
     """
-    lcm, unums, total = _converging_rates(view)
+    lcm, unums, total = view.rates()
     reach = (const + jitter) * lcm
     free = lcm - total
     ceilings = 0

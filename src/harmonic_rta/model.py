@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
 from itertools import accumulate
 from operator import and_, attrgetter, eq, gt, mod
@@ -35,6 +35,10 @@ class DeadlineViolation(TaskModelError):
 
 class UtilizationOverload(TaskModelError):
     """Total utilization is >= 1; fixed-point analyses would not converge."""
+
+
+class NonConvergent(ArithmeticError):
+    """The fixed-point iteration cannot or did not reach a fixed point."""
 
 
 class DuplicatePriority(TaskModelError):
@@ -164,10 +168,8 @@ def validate(raw_tasks: list[Task], relaxed: bool = False) -> TaskSet:
     if not relaxed and total_u >= 1:
         raise UtilizationOverload(f"total utilization {total_u} >= 1")
 
-    ordered = tuple(
-        t if t.id else Task(t.period, t.wcet, t.deadline, t.jitter,
-                            t.priority, _task_id(t.priority))
-        for t in ordered)
+    ordered = tuple(t if t.id else replace(t, id=_task_id(t.priority))
+                    for t in ordered)
     ids = [t.id for t in ordered]
     if len(set(ids)) < len(ids):
         repeated = next(i for k, i in enumerate(ids) if i in ids[:k])
@@ -304,14 +306,17 @@ class OrderedView:
 
         Utilizations are integer numerators `unum` over `lcm`, the least
         common multiple of the scaled periods (the largest one when they
-        divide), and `total_unum` is their sum.  The fixed points read
-        them; the shift solver does not.
+        divide), and `total_unum` is their sum.  Only the fixed points read
+        them, so a utilization >= 1 raises NonConvergent on every call.
         """
         if self._rates is None:
-            periods = self.periods
-            lcm = math.lcm(*periods)
-            unum = [w * (lcm // t) for t, w in zip(periods, self.wcets)]
-            self._rates = (lcm, unum, sum(unum))
+            lcm = math.lcm(*self.periods)
+            unum = [w * (lcm // t) for t, w in zip(self.periods, self.wcets)]
+            if (total := sum(unum)) >= lcm:
+                raise NonConvergent(f"higher-priority utilization "
+                                    f"{Fraction(total, lcm)} >= 1: no fixed "
+                                    f"point exists")
+            self._rates = (lcm, unum, total)
         return self._rates
 
     def scaled(self, value) -> int:
@@ -447,6 +452,8 @@ def read_task_document(path: str):
 # An id that would start its CSV row with '#' (a metadata line) or split
 # the row, or that UTF-8 output cannot hold.
 _BAD_ID = re.compile(r'^#|[,"\r\n\ud800-\udfff]')
+_BAD_ID_RULE = ("starts with '#' or holds a comma, quote, line break or "
+                "lone surrogate")
 
 
 def tasks_from_dict(doc, where: str) -> TaskSet:
@@ -470,9 +477,8 @@ def tasks_from_dict(doc, where: str) -> TaskSet:
             raise TaskModelError(f"{where}: tasks[{pos}] id must be a string, "
                                  f"got {json.dumps(task_id)}")
         if _BAD_ID.search(task_id):
-            raise TaskModelError(
-                f"{where}: tasks[{pos}] id {json.dumps(task_id)} starts with "
-                f"'#' or holds a comma, quote, line break or lone surrogate")
+            raise TaskModelError(f"{where}: tasks[{pos}] id "
+                                 f"{json.dumps(task_id)} {_BAD_ID_RULE}")
         try:
             tasks.append(Task(
                 period=entry["period"],
@@ -491,13 +497,17 @@ def tasks_from_dict(doc, where: str) -> TaskSet:
 def tasks_to_dict(ts: TaskSet) -> dict:
     """Render a TaskSet in the task-file layout (inverse of tasks_from_dict).
 
-    The layout holds integer wcets only; a task whose wcet is not a whole
-    number raises TaskModelError.
+    The layout holds integer wcets only, and ids that `tasks_from_dict`
+    accepts; any other task raises TaskModelError.
     """
     for t in ts:
         if t.wcet != int(t.wcet):
             raise TaskModelError(f"task {t.id}: cannot write non-integer "
                                  f"wcet {t.wcet} to a task file")
+        if not isinstance(t.id, str):
+            raise TaskModelError(f"task id must be a string, got {t.id!r}")
+        if _BAD_ID.search(t.id):
+            raise TaskModelError(f"task id {json.dumps(t.id)} {_BAD_ID_RULE}")
     return {"tasks": [
         {"id": t.id, "period": t.period, "wcet": int(t.wcet),
          "deadline": t.deadline, "jitter": t.jitter, "priority": t.priority}

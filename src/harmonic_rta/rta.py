@@ -15,14 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul, neg
 
-from .model import (OrderedView, TaskSet, _Deferred, _deferred, _ratio,
-                    ordered_view)
+from .model import (NonConvergent, OrderedView, TaskSet, _Deferred,
+                    _deferred, _ratio, ordered_view)
 
 MAX_ITERATIONS = 10 ** 6
-
-
-class NonConvergent(ArithmeticError):
-    """The fixed-point iteration cannot or did not reach a fixed point."""
 
 
 class DomainError(ValueError):
@@ -45,16 +41,6 @@ class RtaResult(_Deferred):
     trace: tuple
     schedulable: bool
     margin: Fraction | int
-
-
-def _converging_rates(view: OrderedView) -> tuple:
-    """`view.rates()`; NonConvergent when the higher-priority utilization
-    is >= 1."""
-    lcm, unum, total = view.rates()
-    if total >= lcm:
-        raise NonConvergent(f"higher-priority utilization {Fraction(total, lcm)}"
-                            f" >= 1: no fixed point exists")
-    return lcm, unum, total
 
 
 def _require_exact(value, what: str) -> None:
@@ -84,7 +70,7 @@ def _iterate(view: OrderedView, offsets, start, budget) -> RtaResult:
     sum, which is below the period at its position (utilization < 1 on
     dividing periods), so no shift reaches a period.
     """
-    lcm, unum, total = _converging_rates(view)
+    lcm, unum, total = view.rates()
     scale = view.scale
     if start is not None:
         _require_exact(start, "start")

@@ -658,6 +658,24 @@ def test_ids_that_would_corrupt_the_csv_exit_two(tmp_path, capsys, task_id):
         assert not dest.exists()
 
 
+def test_unencodable_report_keeps_an_existing_output_file(tmp_path, capsys,
+                                                         table1):
+    # The byte 0xff in the file name decodes to a lone surrogate, which
+    # the report's "# input=" line cannot hold in UTF-8.  The file used to
+    # be opened, and so emptied, before the report was encoded.
+    path = write_task_file(tmp_path / os.fsdecode(b"\xff.json"), table1)
+    dest = tmp_path / "out.csv"
+    dest.write_bytes(b"kept\n")
+    at = len(f"# input={tmp_path}/")
+    message = (f"error: 'utf-8' codec can't encode character '\\udcff' in "
+               f"position {at}: surrogates not allowed\n")
+    for argv in (["analyze", "--input", path, "--method", "uniform-jitter"],
+                 ["check-jitter", "--input", path]):
+        assert run_cli([*argv, "--deterministic", "--output", str(dest)],
+                       capsys) == (2, "", message)
+        assert dest.read_bytes() == b"kept\n"
+
+
 def test_ids_with_spaces_and_accents_still_load(tmp_path, capsys):
     path = tmp_path / "ids.json"
     path.write_text(json.dumps({"tasks": [

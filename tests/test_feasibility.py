@@ -1,5 +1,6 @@
 """Shift-count solver: worked example, brute-force agreement, virtual-jitter WCRT."""
 
+import hashlib
 import math
 import os
 import subprocess
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import harmonic_rta
+import harmonic_rta.experiments as experiments
 from harmonic_rta import (
     FeasibilityResult,
     Rng,
@@ -24,6 +26,7 @@ from harmonic_rta import (
     wcrt_uniform_jitter,
     wcrt_virtual_jitter,
 )
+from harmonic_rta.experiments import HeuristicQualityRow
 from harmonic_rta.feasibility import (
     FEASIBLE,
     INFEASIBLE,
@@ -126,6 +129,40 @@ def test_greedy_clamps_the_lower_window_to_the_current_one():
     values, witnesses = brute_force_last_values(periods, wcets, jitters, 40)
     assert values[0] == 15
     assert witnesses[0] == (1, 2, 6, 7, 15)
+
+
+def test_every_greedy_miss_in_a_small_sweep_has_a_witness(monkeypatch):
+    # Every set heuristic_quality draws is feasible by construction, so
+    # each infeasible verdict is a miss of the greedy branch rule; brute
+    # force over the whole m_last box finds a witness for each.  As in
+    # test_experiment_kernel_golden.py, the solver inputs, results and rows
+    # are hashed; the digest was recorded before the overload check moved
+    # into OrderedView.rates() and must never be regenerated.
+    solve = experiments.solve_feasibility_arrays
+    calls, lines = [], []
+
+    def recorder(periods, wcets, jitters):
+        result = solve(periods, wcets, jitters)
+        calls.append((periods, wcets, jitters, result))
+        lines.append(f"{tuple(periods)!r} {tuple(wcets)!r} "
+                     f"{tuple(jitters)!r} {result!r}")
+        return result
+
+    monkeypatch.setattr(experiments, "solve_feasibility_arrays", recorder)
+    rows = experiments.heuristic_quality(
+        hp_count=6, sets_per_point=1000, grid=(Fraction(19, 20),), seed=0,
+        jobs=1)
+    assert rows == [HeuristicQualityRow(Fraction(19, 20), 1000, 6)]
+    assert len(calls) == 1000
+    lines += [repr(row) for row in rows]
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+        "3fcb45715a5ff568701e9bf483bd2c9b9c055a36c2f31d168a16b29c91753be9")
+    misses = [call for call in calls if not call[3].is_feasible]
+    assert len(misses) == 6
+    for periods, wcets, jitters, _ in misses:
+        values, witnesses = brute_force_last_values(periods, wcets, jitters)
+        assert values
+        assert satisfies_constraints(periods, wcets, jitters, witnesses[0])
 
 
 @pytest.mark.parametrize("periods, good, bad", [

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -145,6 +146,28 @@ def test_save_rejects_non_integer_wcet(tmp_path):
     ts = mk([(10, Fraction(5, 2), 0), (20, 3, 0)], relaxed=True)
     path = tmp_path / "set.json"
     with pytest.raises(TaskModelError, match=f"task {ts[0].id}: .* 5/2"):
+        save_tasks(ts, str(path))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("task_id", ["#a", "b,c", 'say "hi"', "\ud800"])
+def test_save_rejects_ids_that_load_would_refuse(tmp_path, task_id):
+    # validate accepts these ids, and the file they were written to could
+    # not be read back.
+    ts = validate([Task(10, 1, 10, 0, 1, task_id), Task(20, 3, 20, 0, 2)])
+    path = tmp_path / "set.json"
+    with pytest.raises(TaskModelError, match=re.escape(
+            f"task id {json.dumps(task_id)} starts with '#' or holds a "
+            f"comma, quote, line break or lone surrogate")):
+        save_tasks(ts, str(path))
+    assert not path.exists()
+
+
+def test_save_rejects_an_id_that_is_not_a_string(tmp_path):
+    ts = validate([Task(10, 1, 10, 0, 1, 7), Task(20, 3, 20, 0, 2)])
+    path = tmp_path / "set.json"
+    with pytest.raises(TaskModelError,
+                       match="^task id must be a string, got 7$"):
         save_tasks(ts, str(path))
     assert not path.exists()
 

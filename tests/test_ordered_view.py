@@ -1,12 +1,16 @@
 """The ordered view shared by back-to-back analyses of one task set."""
 
+import contextlib
 import copy
 import random
 from fractions import Fraction
 
 import pytest
 
+import harmonic_rta.model as model
+import harmonic_rta.rta as rta
 from harmonic_rta import (
+    NonConvergent,
     Rng,
     Task,
     TaskSet,
@@ -314,7 +318,9 @@ def test_analyses_leave_cached_views_unchanged(rows):
             for ties in (True, False)]
     views = {key: ordered_view(ts, *key) for key in keys}
     for view in views.values():
-        view.rates()
+        # The whole-set view of the second row set has utilization 1.
+        with contextlib.suppress(NonConvergent):
+            view.rates()
     before = {key: _fields(view) for key, view in views.items()}
     for k in range(len(ts)):
         for step in _analyses(ts, k):
@@ -327,6 +333,22 @@ def test_analyses_leave_cached_views_unchanged(rows):
     for key, view in views.items():
         assert ordered_view(ts, *key) is view
         assert _fields(view) == before[key]
+
+
+def test_rates_raise_on_every_call_when_overloaded():
+    # Higher-priority utilization 1/2 + 1/2 = 1 before the third task.
+    ts = mk([(2, 1, 0), (4, 2, 0), (8, 1, 0)], relaxed=True)
+    message = "^higher-priority utilization 1 >= 1: no fixed point exists$"
+    overloaded = ordered_view(ts, 2)
+    for _ in range(2):
+        with pytest.raises(NonConvergent, match=message):
+            overloaded.rates()
+    view = ordered_view(ts, 1)
+    rates = view.rates()
+    assert rates == (2, [1], 1)
+    assert view.rates() is rates
+    assert rta.NonConvergent is model.NonConvergent is NonConvergent
+    assert issubclass(NonConvergent, ArithmeticError)
 
 
 def _reference_order(ts, target, jitter_ties):
