@@ -42,6 +42,7 @@ from .model import (
     Task,
     TaskSet,
     load_tasks,
+    ordered_view,
     read_task_document,
     tasks_from_dict,
     tasks_to_dict,
@@ -67,10 +68,10 @@ class CliError(Exception):
 
 
 def format_decimal(value) -> str:
-    """Correctly rounded 6-place rendering of a non-negative rational."""
-    value = Fraction(value)
-    whole, micros = divmod((2 * value.numerator * 10**6 + value.denominator)
-                           // (2 * value.denominator), 10**6)
+    """Correctly rounded 6-place rendering of a non-negative int or
+    Fraction."""
+    num, den = value.numerator, value.denominator
+    whole, micros = divmod((2 * num * 10**6 + den) // (2 * den), 10**6)
     return f"{whole}.{micros:06d}"
 
 
@@ -172,7 +173,7 @@ def _simulate_rows(ts: TaskSet, targets: list[int],
 def _cross_validate(ts: TaskSet, index: int, primary: str, primary_wcrt,
                     fixed_points=None) -> None:
     """Exact-agreement self-check of every method applicable to this target."""
-    jittered = _first_jittered(ts, index) is not None
+    jittered = _first_jittered(ts, index, ordered_view(ts, index)) is not None
     known = {primary: primary_wcrt}
     if fixed_points:
         # The simulation horizon has already computed it for every task;
@@ -224,6 +225,10 @@ def _parse_target(ts: TaskSet, target: str) -> list[int]:
     if target == "all":
         return list(range(len(ts)))
     try:
+        # ASCII digits only: int() would also read a sign, spaces,
+        # underscores and the digits of other scripts.
+        if not (target.isascii() and target.isdigit()):
+            raise ValueError(target)
         priority = int(target)
     except ValueError:
         raise CliError(f"target must be 'all' or a priority number, "

@@ -33,12 +33,11 @@ from .generator import (
 from .harmonic import (
     JitterPresent,
     _first_jittered,
+    _staged_result,
     check_restricted_jitter,
     shared_jitter,
     wcrt_exclusion_model,
-    wcrt_harmonic,
     wcrt_jitter_bounds,
-    wcrt_uniform_jitter,
 )
 from .model import TaskSet, ordered_view
 from .rta import wcrt_fixed_point, wcrt_fixed_point_jitter
@@ -284,14 +283,14 @@ def method_result(ts: TaskSet, index: int, method: str):
     if method == "fixed-point-jitter":
         return wcrt_fixed_point_jitter(ts, index)
     if method == "harmonic":
-        return wcrt_harmonic(ts, index)[0]
+        return _staged_result(ts, index, 0, jitter_aware=False)
     if method == "uniform-jitter":
-        return wcrt_uniform_jitter(ts, index, shared_jitter(ts, index))[0]
+        return _staged_result(ts, index, shared_jitter(ts, index),
+                              jitter_aware=True)
     if method == "exclusion":
         return wcrt_exclusion_model(ts, index)
     if method == "fixed-point":
-        ordered_view(ts, index)  # an index out of range fails before the scan
-        task = _first_jittered(ts, index)
+        task = _first_jittered(ts, index, ordered_view(ts, index))
         if task is not None:
             raise JitterPresent(
                 f"method fixed-point requires a jitter-free task set, but "

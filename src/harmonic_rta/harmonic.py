@@ -15,6 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
+from math import gcd
 from operator import add, ge
 
 from .model import (OrderedView, TaskSet, _Deferred, _deferred, _ratio,
@@ -107,52 +108,62 @@ def _staged_rta(view: OrderedView, const: int, jitter: int, budget,
     Its iteration count is the ceilings spent, one per computed stage.
     Its trace holds the stage values, base value first; it is built on
     first read by running the stages again on the same view, which is
-    read-only.  The WCRT is reduced, so its margin (budget*den - num)/den
-    is reduced as it stands.
+    read-only.  The WCRT is the last stage value (`_stage_value`, reduced
+    here with one gcd), so its margin (budget*den - num)/den is reduced as
+    it stands.
     """
     reach, free, ceilings = _staged_fixed_point(view, const, jitter,
                                                 early_stop)
-    wcrt = _stage_value(view, jitter, reach, free)
-    den = wcrt.denominator
-    slack = budget * den - wcrt.numerator
-    return _deferred(RtaResult, {"wcrt": wcrt, "iterations": ceilings,
+    num, den = reach - jitter * free, free * view.scale
+    g = gcd(num, den)
+    num //= g
+    den //= g
+    slack = budget * den - num
+    return _deferred(RtaResult, {"wcrt": _reduced(num, den),
+                                 "iterations": ceilings,
                                  "schedulable": slack >= 0,
                                  "margin": _reduced(slack, den)},
                      trace=(_stage_values, view, const, jitter, early_stop))
 
 
 def _staged_result(ts: TaskSet, target_index: int, jitter,
-                   early_stop: bool, jitter_aware: bool):
-    """(RtaResult, HarmonicIterationTrace) at one uniform jitter.  A method
+                   jitter_aware: bool, early_stop: bool = True) -> RtaResult:
+    """The RtaResult of the staged run at one uniform jitter.  A method
     that is not jitter-aware rejects jitters up to the target: D - J = D."""
     view = ordered_view(ts, target_index, extra=(jitter,))
     if not jitter_aware:
-        _reject_jitters(ts, target_index)
+        _reject_jitters(ts, target_index, view)
     view.require_harmonic()
     target = ts[target_index]
-    result = _staged_rta(view, view.target_wcet, view.scaled(jitter),
-                         target.deadline - target.jitter, early_stop)
+    return _staged_rta(view, view.target_wcet, view.scaled(jitter),
+                       target.deadline - target.jitter, early_stop)
+
+
+def _with_trace(result: RtaResult, target_index: int):
+    """(result, its HarmonicIterationTrace) for a staged result of the
+    target at `target_index`, which has that many higher-priority tasks."""
     # A run that stopped early computed fewer stages than the view has
     # tasks; the stage it skipped is the one after the last computed.
     ceilings = result.iterations
-    stopped = ceilings + 1 if ceilings < len(view.periods) else None
+    stopped = ceilings + 1 if ceilings < target_index else None
     return result, _deferred(
         HarmonicIterationTrace,
         {"ceil_evals": ceilings, "early_stop_stage": stopped},
         stage_values=(getattr, result, "trace"))
 
 
-def _first_jittered(ts: TaskSet, target_index: int):
+def _first_jittered(ts: TaskSet, target_index: int, view: OrderedView):
     """The first task with jitter among the target and the tasks above it,
-    or None."""
-    for task in ts.tasks[:target_index + 1]:
-        if task.jitter:
-            return task
-    return None
+    or None.  `view`, an ordered view of the target, holds the jitters of
+    the tasks above it; its build has refused an index out of range."""
+    if not (ts[target_index].jitter or any(view.jitters)):
+        return None
+    return next(task for task in ts.tasks[:target_index + 1] if task.jitter)
 
 
-def _reject_jitters(ts: TaskSet, target_index: int) -> None:
-    task = _first_jittered(ts, target_index)
+def _reject_jitters(ts: TaskSet, target_index: int,
+                    view: OrderedView) -> None:
+    task = _first_jittered(ts, target_index, view)
     if task is not None:
         raise JitterPresent(
             f"task {task.id} has jitter {task.jitter}; use a jitter-aware "
@@ -166,7 +177,8 @@ def wcrt_harmonic(ts: TaskSet, target_index: int, early_stop: bool = True):
     every harmonic input.  Raises JitterPresent when the target or one of its
     higher-priority tasks carries jitter.
     """
-    return _staged_result(ts, target_index, 0, early_stop, jitter_aware=False)
+    return _with_trace(_staged_result(ts, target_index, 0, False,
+                                      early_stop), target_index)
 
 
 def wcrt_uniform_jitter(ts: TaskSet, target_index: int, jitter,
@@ -180,8 +192,8 @@ def wcrt_uniform_jitter(ts: TaskSet, target_index: int, jitter,
     _require_exact(jitter, "uniform jitter")
     if jitter < 0:
         raise ValueError(f"uniform jitter must be >= 0, got {jitter}")
-    return _staged_result(ts, target_index, jitter, early_stop,
-                          jitter_aware=True)
+    return _with_trace(_staged_result(ts, target_index, jitter, True,
+                                      early_stop), target_index)
 
 
 def wcrt_jitter_bounds(ts: TaskSet, target_index: int):
@@ -210,7 +222,7 @@ def wcrt_exclusion_model(ts: TaskSet, target_index: int) -> RtaResult:
     ordinary one, which is what carves the exclusion intervals.
     """
     view = ordered_view(ts, target_index)
-    _reject_jitters(ts, target_index)
+    _reject_jitters(ts, target_index, view)
     view.require_harmonic()
     target = ts[target_index]
     return _iterate(view, view.suffix_wcet, target.wcet, target.deadline)
@@ -226,7 +238,7 @@ def wcrt_with_delays(ts: TaskSet, target_index: int, delta) -> RtaResult:
     for k, d in enumerate(delta):
         _require_exact(d, f"delta[{k}]")
     view = ordered_view(ts, target_index, extra=delta)
-    _reject_jitters(ts, target_index)
+    _reject_jitters(ts, target_index, view)
     if len(delta) != len(view.order):
         raise DeltaOutOfRange(
             f"need {len(view.order)} shifts, got {len(delta)}")

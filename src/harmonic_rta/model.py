@@ -427,10 +427,18 @@ def load_tasks(path: str) -> TaskSet:
 
 
 def read_task_document(path: str):
-    """The parsed JSON document of a task-set file, not yet validated."""
+    """The parsed JSON document of a task-set file, not yet validated.
+
+    The bytes are decoded once; a CRLF or a lone CR becomes one line
+    break, as a text-mode read would make it, so a parse error's line and
+    column are those of the file read as text.
+    """
     try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            text = fh.read().decode("utf-8")
+        if "\r" in text:
+            text = text.replace("\r\n", "\n").replace("\r", "\n")
+        return json.loads(text)
     except OSError as exc:
         raise TaskModelError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -454,6 +462,8 @@ def read_task_document(path: str):
 _BAD_ID = re.compile(r'^#|[,"\r\n\ud800-\udfff]')
 _BAD_ID_RULE = ("starts with '#' or holds a comma, quote, line break or "
                 "lone surrogate")
+_FIELDS = frozenset(("period", "wcet", "deadline", "jitter", "priority",
+                     "id"))
 
 
 def tasks_from_dict(doc, where: str) -> TaskSet:
@@ -467,11 +477,10 @@ def tasks_from_dict(doc, where: str) -> TaskSet:
     for pos, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise TaskModelError(f"{where}: tasks[{pos}] is not an object")
-        unknown = set(entry) - {"period", "wcet", "deadline", "jitter",
-                                "priority", "id"}
-        if unknown:
+        if not _FIELDS.issuperset(entry):
+            unknown = sorted(set(entry) - _FIELDS)
             raise TaskModelError(
-                f"{where}: tasks[{pos}] has unknown fields {sorted(unknown)}")
+                f"{where}: tasks[{pos}] has unknown fields {unknown}")
         task_id = entry.get("id", "")
         if not isinstance(task_id, str):
             raise TaskModelError(f"{where}: tasks[{pos}] id must be a string, "

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from operator import mul, neg
 
 from .model import (NonConvergent, OrderedView, TaskSet, _Deferred,
@@ -53,10 +54,10 @@ def _require_exact(value, what: str) -> None:
 def _iterate(view: OrderedView, offsets, start, budget) -> RtaResult:
     """Least fixed point of t = C_n + sum C_i*ceil((t - O_i)/T_i).
 
-    `offsets` O_i are subtracted, in view units: zeros for the classic
-    recurrence, negated jitters for the jitter-aware one, demand shifts
-    for the shifted models.  Returns the RtaResult, in task time units,
-    whose margin is budget - wcrt (budget D or D - J).  Its trace, the
+    `offsets` O_i are subtracted, in view units: None (all zero) for the
+    classic recurrence, negated jitters for the jitter-aware one, demand
+    shifts for the shifted models.  Returns the RtaResult, in task time
+    units, whose margin is budget - wcrt (budget D or D - J).  Its trace, the
     start and every iterate, is built on first read by iterating again on
     the same view, which is read-only.
 
@@ -77,7 +78,9 @@ def _iterate(view: OrderedView, offsets, start, budget) -> RtaResult:
         num, den = start.numerator * scale, start.denominator
     if start is None or num > view.target_wcet * den:
         # The weighted start in view units, as the pair low/free.
-        low = view.target_wcet * lcm - sum(map(mul, unum, offsets))
+        low = view.target_wcet * lcm
+        if offsets:
+            low -= sum(map(mul, unum, offsets))
         free = lcm - total
         if start is None:
             num, den = low, free
@@ -107,7 +110,7 @@ def _kleene(view: OrderedView, offsets, num: int, den: int,
     # Only an integer x can be a fixed point at the first step.
     integral = num % den == 0
     cur = -(-num // den)
-    terms = tuple(zip(view.periods, view.wcets, offsets))
+    terms = tuple(zip(view.periods, view.wcets, offsets or repeat(0)))
     steps = 0
     while True:
         nxt = wcet
@@ -143,8 +146,7 @@ def wcrt_fixed_point(ts: TaskSet, target_index: int, start=None) -> RtaResult:
     C_n/(1 - U_hp) (or from `start` when given; a start above that lower
     bound raises ValueError).  Schedulable iff wcrt <= deadline.
     """
-    view = ordered_view(ts, target_index)
-    return _iterate(view, (0,) * len(view.order), start,
+    return _iterate(ordered_view(ts, target_index), None, start,
                     ts[target_index].deadline)
 
 

@@ -105,6 +105,27 @@ def test_analyze_target_selection(table1_file, capsys):
     assert rows[0]["wcrt_num"] == "18"
 
 
+@pytest.mark.parametrize("target", ["1_0", " 2", "+2", "2 ", "٢", "-1",
+                                    "2.0", ""])
+def test_target_must_be_ascii_digits(tmp_path, capsys, target):
+    # int() alone reads the first six as priorities 10, 2, 2, 2, 2 and -1.
+    path = write_task_file(tmp_path / "two.json", mk([(10, 1, 0), (20, 2, 0)]))
+    rc, out, err = run_cli(["analyze", "--input", path, "--method",
+                            "harmonic", "--target", target], capsys)
+    assert (rc, out) == (2, "")
+    assert err == (f"error: target must be 'all' or a priority number, "
+                   f"got {target!r}\n")
+
+
+def test_target_with_leading_zeros_selects_that_priority(tmp_path, capsys):
+    path = write_task_file(tmp_path / "two.json", mk([(10, 1, 0), (20, 2, 0)]))
+    rc, out, _ = run_cli(["analyze", "--input", path, "--method", "harmonic",
+                          "--target", "02", "--deterministic"], capsys)
+    assert rc == 0
+    assert "# target=02" in out.splitlines()
+    assert [row["id"] for row in csv_rows(out)] == ["t2"]
+
+
 def test_analyze_output_file(table1_file, tmp_path, capsys):
     dest = tmp_path / "report.csv"
     rc, out, _ = run_cli(["analyze", "--input", table1_file, "--method",
@@ -689,11 +710,18 @@ def test_ids_with_spaces_and_accents_still_load(tmp_path, capsys):
     assert [row["id"] for row in csv_rows(out)] == ["a b", "\u00e9"]
 
 
-def test_non_utf8_file_exits_two_naming_the_file(tmp_path, capsys):
+# The second id puts the bad byte past the first 8 KiB, a common
+# read-buffer size; the offset still counts from the start of the file.
+@pytest.mark.parametrize("task_id, offset", [("\u00e9", 19),
+                                             ("a" * 9000 + "\u00e9", 9019)],
+                         ids=["first-byte", "past-8-kib"])
+def test_non_utf8_file_exits_two_naming_the_file(tmp_path, capsys, task_id,
+                                                 offset):
     path = tmp_path / "latin1.json"
-    path.write_bytes('{"tasks": [{"id": "\u00e9", "period": 10, "wcet": 1, '
-                     '"deadline": 10, "priority": 1}]}'.encode("latin-1"))
-    message = (f"error: {path}: not UTF-8 text at byte 19: invalid "
+    path.write_bytes(f'{{"tasks": [{{"id": "{task_id}", "period": 10, '
+                     f'"wcet": 1, "deadline": 10, "priority": 1}}]}}'
+                     .encode("latin-1"))
+    message = (f"error: {path}: not UTF-8 text at byte {offset}: invalid "
                f"continuation byte\n")
     for argv in (["analyze", "--input", str(path), "--method", "harmonic"],
                  ["check-jitter", "--input", str(path)]):
@@ -1041,6 +1069,8 @@ def test_format_decimal():
     assert format_decimal(Fraction(1, 3)) == "0.333333"
     assert format_decimal(Fraction(2, 3)) == "0.666667"
     assert format_decimal(Fraction(72)) == "72.000000"
+    assert format_decimal(72) == "72.000000"
+    assert format_decimal(0) == "0.000000"
     assert format_decimal(Fraction(1, 8)) == "0.125000"
     # Ties round up.
     assert format_decimal(Fraction(1234565, 10**7)) == "0.123457"

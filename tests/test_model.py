@@ -175,11 +175,14 @@ def test_save_rejects_an_id_that_is_not_a_string(tmp_path):
 def test_load_rejects_unknown_field(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"tasks": [
-        {"period": 10, "wcet": 1, "deadline": 10, "priority": 1, "color": 3},
+        {"period": 10, "wcet": 1, "deadline": 10, "priority": 1},
+        {"zeta": 1, "period": 20, "wcet": 1, "deadline": 20, "priority": 2,
+         "color": 3, "alpha": 0},
     ]}))
     with pytest.raises(TaskModelError) as err:
         load_tasks(str(path))
-    assert "color" in str(err.value)
+    assert str(err.value) == (
+        f"{path}: tasks[1] has unknown fields ['alpha', 'color', 'zeta']")
 
 
 def test_load_rejects_missing_field(tmp_path):
@@ -192,12 +195,19 @@ def test_load_rejects_missing_field(tmp_path):
     assert "deadline" in str(err.value)
 
 
-def test_load_parse_error_has_line_info(tmp_path):
+@pytest.mark.parametrize("newline", ["\n", "\r", "\r\n"],
+                         ids=["lf", "cr", "crlf"])
+def test_load_parse_error_has_line_info(tmp_path, newline):
+    # As in a text-mode read, a lone CR and a CRLF are one line break each.
     path = tmp_path / "broken.json"
-    path.write_text('{"tasks": [\n  {"period": 10,}\n]}')
+    lines = ['{"tasks": [', '  {"period": 10, "wcet": 1,',
+             '   "deadline": 10,, "priority": 1}', "]}", ""]
+    path.write_bytes(newline.join(lines).encode("utf-8"))
     with pytest.raises(TaskModelError) as err:
         load_tasks(str(path))
-    assert "line" in str(err.value)
+    assert str(err.value) == (
+        f"{path}: invalid JSON at line 3 column 19: Expecting property name "
+        f"enclosed in double quotes")
 
 
 @pytest.mark.parametrize("relaxed", [False, True])
