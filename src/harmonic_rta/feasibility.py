@@ -22,7 +22,7 @@ from operator import gt, mul
 
 from .harmonic import _staged_rta
 from .model import OrderedView, TaskSet, ordered_view
-from .rta import RtaResult
+from .rta import RtaResult, _require_exact
 
 FEASIBLE = "feasible"
 INFEASIBLE = "infeasible"
@@ -124,9 +124,10 @@ def solve_feasibility(ts: TaskSet, target_index: int | None = None
 def solve_feasibility_arrays(periods, wcets, jitters) -> FeasibilityResult:
     """solve_feasibility on pre-ordered arrays (non-increasing periods).
 
-    Raises ValueError on arrays of different lengths, no task, or a jitter
-    outside [0, period) (naming its position), and NonHarmonic unless each
-    period divides the one before it.
+    Raises ValueError on arrays of different lengths, no task, a period
+    that is not an int, a wcet or jitter that is neither an int nor a
+    Fraction, or a jitter outside [0, period) (naming its position), and
+    NonHarmonic unless each period divides the one before it.
     Rational wcets and jitters are exact but slower than ints; a caller
     holding many sets with a known common denominator can scale them to
     ints first, which leaves the verdict and m unchanged.
@@ -138,12 +139,22 @@ def solve_feasibility_arrays(periods, wcets, jitters) -> FeasibilityResult:
 
 def _array_view(periods, wcets, jitters) -> OrderedView:
     """The view of pre-ordered raw arrays, after checking that they have
-    one length, at least one task, and every jitter in [0, period)."""
+    one length, at least one task, int periods, int or Fraction wcets and
+    jitters, and every jitter in [0, period)."""
     if not len(periods) == len(wcets) == len(jitters):
         raise ValueError(f"periods, wcets and jitters have lengths "
                          f"{len(periods)}, {len(wcets)} and {len(jitters)}")
     if not periods:
         raise ValueError("need at least one task")
+    # All-int arrays, the experiments' case, pass on one set comparison.
+    if {*map(type, periods), *map(type, wcets), *map(type, jitters)} != {int}:
+        for k, period in enumerate(periods):
+            if type(period) is not int:
+                raise ValueError(f"periods[{k}] must be an int, got "
+                                 f"{period!r}")
+        for name, values in (("wcets", wcets), ("jitters", jitters)):
+            for k, value in enumerate(values):
+                _require_exact(value, f"{name}[{k}]")
     view = OrderedView(None, periods, wcets, jitters)
     if min(view.jitters) < 0 or not all(map(gt, view.periods, view.jitters)):
         k = next(k for k, (period, jitter) in
@@ -245,7 +256,7 @@ def brute_force_last_values(periods, wcets, jitters, last_cap=None):
     per-task intervals are checked independently (m_1 must admit 1).  The
     default `last_cap` is the whole box of `brute_force_feasibility`.
     Returns (values, witnesses) in ascending order.  Raises ValueError on
-    arrays of different lengths, no task, or a jitter outside [0, period).
+    the arrays `solve_feasibility_arrays` refuses with one.
     """
     view = _array_view(periods, wcets, jitters)
     periods, jitters, suffix = view.periods, view.jitters, view.suffix_wcet

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import repeat
-from math import gcd
 from operator import add, ge
 
 from .model import (OrderedView, TaskSet, _Deferred, _deferred, _ratio,
@@ -108,22 +107,18 @@ def _staged_rta(view: OrderedView, const: int, jitter: int, budget,
     Its iteration count is the ceilings spent, one per computed stage.
     Its trace holds the stage values, base value first; it is built on
     first read by running the stages again on the same view, which is
-    read-only.  The WCRT is the last stage value (`_stage_value`, reduced
-    here with one gcd), so its margin (budget*den - num)/den is reduced as
-    it stands.
+    read-only.  The WCRT is the last stage value, reduced, so its margin
+    (budget*den - num)/den is reduced as it stands.
     """
     reach, free, ceilings = _staged_fixed_point(view, const, jitter,
                                                 early_stop)
-    num, den = reach - jitter * free, free * view.scale
-    g = gcd(num, den)
-    num //= g
-    den //= g
+    wcrt = _stage_value(view, jitter, reach, free)
+    num, den = wcrt.as_integer_ratio()
     slack = budget * den - num
-    return _deferred(RtaResult, {"wcrt": _reduced(num, den),
-                                 "iterations": ceilings,
-                                 "schedulable": slack >= 0,
-                                 "margin": _reduced(slack, den)},
-                     trace=(_stage_values, view, const, jitter, early_stop))
+    return _deferred(RtaResult, {
+        "wcrt": wcrt, "iterations": ceilings, "schedulable": slack >= 0,
+        "margin": _reduced(slack, den),
+        "_trace": (_stage_values, view, const, jitter, early_stop)})
 
 
 def _staged_result(ts: TaskSet, target_index: int, jitter,
@@ -146,10 +141,9 @@ def _with_trace(result: RtaResult, target_index: int):
     # tasks; the stage it skipped is the one after the last computed.
     ceilings = result.iterations
     stopped = ceilings + 1 if ceilings < target_index else None
-    return result, _deferred(
-        HarmonicIterationTrace,
-        {"ceil_evals": ceilings, "early_stop_stage": stopped},
-        stage_values=(getattr, result, "trace"))
+    return result, _deferred(HarmonicIterationTrace, {
+        "ceil_evals": ceilings, "early_stop_stage": stopped,
+        "_stage_values": (getattr, result, "trace")})
 
 
 def _first_jittered(ts: TaskSet, target_index: int, view: OrderedView):

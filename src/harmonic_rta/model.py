@@ -210,9 +210,11 @@ class _Deferred:
     """Base of a frozen dataclass some of whose fields may be built on
     their first read.
 
-    `_deferred` makes such an instance.  Until a deferred field is read it
-    is missing from the instance `__dict__`; `__getattr__` then builds and
-    stores it, so every later read returns the same object.  Reads,
+    `_deferred` makes such an instance.  Until a deferred field `name` is
+    read, the instance `__dict__` holds its `(build, *args)` under
+    `_name`; `__getattr__` then builds and stores the field and drops
+    `_name`, so every later read returns the same object and a fully read
+    instance has the `vars()` of one built by the constructor.  Reads,
     `repr`, `==`, `hash` and pickling all go through the attribute, so
     they see the same values as an instance built by the constructor.
     """
@@ -220,13 +222,15 @@ class _Deferred:
     def __getattr__(self, name):
         # Reached only for an attribute missing from __dict__.
         values = self.__dict__
-        entry = values.get("_pending", {}).get(name)
+        key = "_" + name
+        entry = values.get(key)
         if entry is not None:
             build, *args = entry
             # Of two threads building at once, the first to store wins, so
-            # every read returns one object.
+            # every read returns one object.  The builder is dropped only
+            # after the store, so a reader always finds one of the two.
             values.setdefault(name, build(*args))
-            values["_pending"].pop(name, None)
+            values.pop(key, None)
         try:
             # Also finds a field another thread stored since the miss.
             return values[name]
@@ -239,13 +243,12 @@ class _Deferred:
                                   for f in fields(self)])
 
 
-def _deferred(cls, values: dict, **pending):
-    """An instance of `cls` with the field values `values` and, for each
-    `name=(build, *args)` in `pending`, a field `name` that is
-    `build(*args)`, called on its first read."""
+def _deferred(cls, values: dict):
+    """An instance of `cls` whose `__dict__` is `values`: the ready field
+    values, and `(build, *args)` under `_name` for each field `name` that
+    is `build(*args)`, called on its first read."""
     obj = object.__new__(cls)
-    values["_pending"] = pending
-    obj.__dict__.update(values)
+    object.__setattr__(obj, "__dict__", values)
     return obj
 
 

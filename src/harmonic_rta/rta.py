@@ -91,10 +91,9 @@ def _iterate(view: OrderedView, offsets, start, budget) -> RtaResult:
     last, steps = _kleene(view, offsets, num, den)
     wcrt = _ratio(last, scale) if view.rational else last // scale
     margin = budget - wcrt
-    return _deferred(RtaResult, {"wcrt": wcrt, "iterations": steps,
-                                 "schedulable": margin >= 0,
-                                 "margin": margin},
-                     trace=(_trace, view, offsets, num, den, start))
+    return _deferred(RtaResult, {
+        "wcrt": wcrt, "iterations": steps, "schedulable": margin >= 0,
+        "margin": margin, "_trace": (_trace, view, offsets, num, den, start)})
 
 
 def _kleene(view: OrderedView, offsets, num: int, den: int,

@@ -257,6 +257,6 @@ def simulate(ts: TaskSet, cfg: SimConfig) -> SimTrace:
         job_count += len(releases)
 
     return _deferred(SimTrace, {"jobs": JobRecords(levels, job_count),
-                                "preemption_count": preemptions},
-                     response_times=(_maxima, levels),
-                     idle_intervals=(_idle, starts, ends))
+                                "preemption_count": preemptions,
+                                "_response_times": (_maxima, levels),
+                                "_idle_intervals": (_idle, starts, ends)})

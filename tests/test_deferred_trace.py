@@ -12,7 +12,7 @@ same way.
 
 import pickle
 import threading
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, fields
 from fractions import Fraction
 
 import pytest
@@ -224,30 +224,41 @@ def test_deferred_fields_stay_read_only(table1):
     assert result.trace == trace.stage_values
 
 
-def test_threads_reading_one_trace_get_one_tuple(table1, monkeypatch):
-    # Two threads miss `response_times` at once and both build it.  The
+def _simulated(ts):
+    return simulate(ts, SimConfig(360, tuple(t.jitter for t in ts)))
+
+
+@pytest.mark.parametrize("module, builder, field, make, pending", [
+    (simulator, "_maxima", "response_times", _simulated,
+     {"idle_intervals"}),
+    (rta, "_trace", "trace", lambda ts: wcrt_fixed_point_jitter(ts, 5),
+     set()),
+], ids=["simulator-maxima", "fixed-point-trace"])
+def test_threads_reading_one_trace_get_one_tuple(table1, monkeypatch, module,
+                                                 builder, field, make,
+                                                 pending):
+    # Two threads miss `field` at once and both build it.  The
     # builder holds the second one until the first one's read has
     # returned, so the second stores last; it must still return the
     # first one's value.
-    cfg = SimConfig(360, tuple(t.jitter for t in table1))
-    reference = simulate(table1, cfg)
-    expected = reference.response_times
+    reference = make(table1)
+    expected = getattr(reference, field)
     both_inside = threading.Barrier(2, timeout=10)
     first_read = threading.Event()
-    build = simulator._maxima
+    build = getattr(module, builder)
 
-    def held_build(levels):
-        value = build(levels)
+    def held_build(*args):
+        value = build(*args)
         if both_inside.wait():
             assert first_read.wait(timeout=10)
         return value
 
-    monkeypatch.setattr(simulator, "_maxima", held_build)
-    sim = simulate(table1, cfg)
+    monkeypatch.setattr(module, builder, held_build)
+    sim = make(table1)
     seen = []
 
     def read():
-        seen.append(sim.response_times)
+        seen.append(getattr(sim, field))
         first_read.set()
 
     workers = [threading.Thread(target=read) for _ in range(2)]
@@ -256,11 +267,13 @@ def test_threads_reading_one_trace_get_one_tuple(table1, monkeypatch):
     for worker in workers:
         worker.join(timeout=10)
         assert not worker.is_alive()
-    assert len(seen) == 2 and seen[0] is seen[1] is sim.response_times
+    assert len(seen) == 2 and seen[0] is seen[1] is getattr(sim, field)
     assert seen[0] == expected and seen[0] is not expected
-    # The other deferred field is still pending, and built once.
-    assert "idle_intervals" not in vars(sim)
-    assert sim.idle_intervals is sim.idle_intervals == reference.idle_intervals
+    # The other deferred fields are still pending, and each is built once.
+    assert {f.name for f in fields(sim)} - set(vars(sim)) == pending
+    for other in pending:
+        assert (getattr(sim, other) is getattr(sim, other)
+                == getattr(reference, other))
 
 
 def test_sim_traces_survive_pickle(table1):

@@ -198,6 +198,16 @@ def test_arrays_reject_jitters_outside_the_period(periods, jitters, message):
     ((10,), (1, 1), (0, 0),
      "periods, wcets and jitters have lengths 1, 2 and 2"),
     ((), (), (), "need at least one task"),
+    ((40.0, 20.0, 10.0, 10.0, 5.0), (1, 2, 1, 2, 2), (30, 12, 3, 1, 3),
+     r"periods\[0\] must be an int, got 40\.0"),
+    ((100, 10.0), (1, 1), (55, 0),
+     r"periods\[1\] must be an int, got 10\.0"),
+    ((10, 5), (1, 1.5), (0, 0),
+     r"wcets\[1\] must be an int or a Fraction, got 1\.5"),
+    ((10, 5), (True, 1), (0, 0),
+     r"wcets\[0\] must be an int or a Fraction, got True"),
+    ((10, 5), (1, 1), (0.5, 0),
+     r"jitters\[0\] must be an int or a Fraction, got 0\.5"),
 ])
 def test_arrays_need_one_length_and_a_task(periods, wcets, jitters, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

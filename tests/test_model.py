@@ -1,8 +1,10 @@
-"""Task model: validation rules, priority ordering, file round-trips."""
+"""Task model: validation rules, priority ordering, file round-trips, and
+the lazily-filled results that `model._deferred` builds."""
 
 import json
 import random
 import re
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -13,13 +15,17 @@ from harmonic_rta import (
     JitterTooLarge,
     NonHarmonic,
     NonPositiveParameter,
+    SimConfig,
     Task,
     TaskModelError,
     UtilizationOverload,
     load_tasks,
     pi_order,
     save_tasks,
+    simulate,
     validate,
+    wcrt_fixed_point_jitter,
+    wcrt_uniform_jitter,
 )
 from conftest import mk
 
@@ -245,3 +251,16 @@ def test_total_utilization_is_the_exact_fraction_sum():
     with pytest.raises(UtilizationOverload,
                        match=r"^total utilization 1 >= 1$"):
         mk([(20, 5, 0), (10, 5, 0), (40, 10, 0)])
+
+
+def test_fully_read_lazy_results_hold_the_constructor_fields(table1):
+    # Each lazily-filled type: a fixed-point and a staged RtaResult, the
+    # staged HarmonicIterationTrace, and a simulated SimTrace.
+    staged, stages = wcrt_uniform_jitter(table1, 5, 8)
+    offsets = tuple(t.jitter for t in table1)
+    lazy = (wcrt_fixed_point_jitter(table1, 5), staged, stages,
+            simulate(table1, SimConfig(360, offsets)))
+    for obj in lazy:
+        values = [getattr(obj, f.name) for f in fields(obj)]
+        built = type(obj)(*values)
+        assert vars(obj) == vars(built), type(obj).__name__
